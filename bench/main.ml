@@ -494,7 +494,7 @@ let federation_fault_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* Join scaling: indexed vs nested loop, sizes 10^2 .. 10^6, plus the  *)
-(* sharded engine's worker curve and the flat-vs-map kernel curve      *)
+(* 4-shard executor's worker curve and the flat-vs-map kernel curve    *)
 
 (* Bechamel's quota-driven repetition would take hours on the 10^8-pair
    nested loop, so this sweep uses a plain wall-clock timer: repeat
@@ -602,8 +602,8 @@ let join_scaling () =
           wall_time (fun () ->
               Erm.Ops.join_indexed ~left_attr:"k" ~right_attr:"r_k" a b)
         in
-        (* The same equi-join through the sharded engine (4 shards,
-           growing worker counts) — metrics/tracing are off here, so
+        (* The same equi-join fanned out over 4 shards (growing worker
+           counts) — metrics/tracing are off here, so
            this measures the parallel flat-kernel configuration. *)
         let env = [ ("ja", a); ("jb", b) ] in
         let sharded_ns =
@@ -613,8 +613,7 @@ let join_scaling () =
                 wall_time (fun () ->
                     Query.Physical.eval_fast
                       ~ctx:(Query.Physical.create_ctx ())
-                      ~strategy:
-                        (Query.Physical.Sharded { shards = 4; domains })
+                      ~sharded:{ shards = 4; domains }
                       env join_q) ))
             join_domain_counts
         in
@@ -762,78 +761,6 @@ let provenance_gate () =
   if not pass then begin
     print_endline
       "  PROVENANCE GATE FAILED - disabled evaluation regressed > 5%";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-engine overhead gate                                        *)
-
-(* The Sharded strategy with shards = 1 must cost the same as the plain
-   physical executor — the engine stands aside entirely below two
-   shards, so routing everything through the strategy seam has to be
-   free. Gate: min times within 5%. The 4-shard single-worker ratio is
-   reported as information (partitioning + merge cost, paid back only
-   when workers parallelise). Results go to BENCH_sharded_gate.json; a
-   breach exits non-zero so CI fails. *)
-let sharded_gate () =
-  let a, b = baseline_pair in
-  let env = [ ("ua", a); ("ub", b) ] in
-  let q = Query.Parser.parse "ua UNION ub" in
-  let strategy_ns strategy =
-    let batch () =
-      let ctx = Query.Physical.create_ctx () in
-      ignore (Query.Physical.eval_fast ~ctx ?strategy env q);
-      (* warm-up *)
-      let t0 = Unix.gettimeofday () in
-      let rec go n =
-        ignore (Query.Physical.eval_fast ~ctx ?strategy env q);
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < 0.05 && n < 1000 then go (n + 1)
-        else dt /. float_of_int n *. 1e9
-      in
-      go 1
-    in
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch ()))
-      Float.max_float [ 1; 2; 3; 4; 5 ]
-  in
-  let inline_ns = strategy_ns None in
-  let sharded1_ns =
-    strategy_ns
-      (Some (Query.Physical.Sharded { Query.Physical.shards = 1; domains = 1 }))
-  in
-  let sharded4_ns =
-    strategy_ns
-      (Some (Query.Physical.Sharded { Query.Physical.shards = 4; domains = 1 }))
-  in
-  let ratio = sharded1_ns /. inline_ns in
-  let pass = ratio <= 1.05 in
-  print_endline "sharded-gate (union-1000, min of 5 batches):";
-  Printf.printf "  inline physical           %12.0f ns/run\n" inline_ns;
-  Printf.printf "  sharded shards=1          %12.0f ns/run\n" sharded1_ns;
-  Printf.printf "  sharded shards=4 (1 wkr)  %12.0f ns/run (info: %.3fx)\n"
-    sharded4_ns (sharded4_ns /. inline_ns);
-  Printf.printf "  sharded1/inline ratio     %.3f (gate: <= 1.05) %s\n%!"
-    ratio
-    (if pass then "OK" else "FAIL");
-  let oc = open_out "BENCH_sharded_gate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"union-1000\",\n\
-    \  \"inline_ns\": %.0f,\n\
-    \  \"sharded1_ns\": %.0f,\n\
-    \  \"sharded4_ns\": %.0f,\n\
-    \  \"sharded1_over_inline\": %.4f,\n\
-    \  \"gate\": 1.05,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    inline_ns sharded1_ns sharded4_ns ratio pass;
-  close_out oc;
-  print_endline "  wrote BENCH_sharded_gate.json\n";
-  if not pass then begin
-    print_endline
-      "  SHARDED GATE FAILED - single-shard strategy regressed > 5% over \
-       the inline executor";
     exit 1
   end
 
@@ -1052,8 +979,8 @@ let sweep_gate () =
 (* Observability overhead gate                                         *)
 
 (* Telemetry must be strictly pay-for-use: after a fully-instrumented
-   run (metrics + tracing + flight recorder over the 4-shard/4-worker
-   engine), turning everything off again has to leave the hot paths at
+   run (metrics + tracing + flight recorder over a 4-shard/4-worker
+   execution), turning everything off again has to leave the hot paths at
    their never-observed cost — the guards are one boolean load each.
    Gate: disabled/baseline min times within 5%. The enabled leg also
    proves the clamp is gone: with metrics recording, domains = 4 must
@@ -1064,10 +991,8 @@ let obs_gate () =
   let a, b = baseline_pair in
   let env = [ ("ua", a); ("ub", b) ] in
   let q = Query.Parser.parse "ua UNION ub" in
-  let strategy =
-    Some (Query.Physical.Sharded { Query.Physical.shards = 4; domains = 4 })
-  in
-  let workload ctx () = ignore (Query.Physical.eval_fast ~ctx ?strategy env q) in
+  let sharded = { Query.Physical.shards = 4; domains = 4 } in
+  let workload ctx () = ignore (Query.Physical.eval_fast ~ctx ~sharded env q) in
   let time_leg () =
     let ctx = Query.Physical.create_ctx () in
     (* A parallel run is tens of milliseconds with real scheduler
@@ -1371,15 +1296,9 @@ let run_group (group_name, tests) =
   print_newline ()
 
 let () =
-  Exec.Engine.install ();
   if Array.exists (String.equal "--provenance-gate") Sys.argv then begin
     (* CI mode: only the overhead gate, so the job stays fast. *)
     provenance_gate ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--sharded-gate") Sys.argv then begin
-    (* CI mode: only the strategy-seam overhead gate. *)
-    sharded_gate ();
     exit 0
   end;
   if Array.exists (String.equal "--store-gate") Sys.argv then begin
@@ -1423,7 +1342,6 @@ let () =
   join_scaling ();
   incremental_sweep ();
   provenance_gate ();
-  sharded_gate ();
   store_gate ();
   rules_gate ();
   obs_gate ();

@@ -11,11 +11,11 @@
    With --flight-out, the flight recorder journals typed events and the
    surviving ring plus a metrics snapshot is written to FILE as JSONL on
    exit — including typed error exits, so it doubles as a crash dump.
-   With --domains N (or ERIDB_DOMAINS=N; the flag wins), N > 1 routes
-   queries through the sharded execution engine with one shard per
-   domain — results are bit-identical to the default path by the
-   conformance harness's contract, with metrics, tracing and the flight
-   recorder running at full parallelism through per-worker buffers.
+   With --domains N (or ERIDB_DOMAINS=N; the flag wins), N > 1 fans
+   every query operator (and .analyze) out over N shards on N domains —
+   results are bit-identical to the default path by the conformance
+   harness's contract, with metrics, tracing and the flight recorder
+   running at full parallelism through per-worker buffers.
    ERIDB_CLOCK=virtual replaces the wall clock with a simulated one, so
    all durations are deterministic (0). *)
 
@@ -24,10 +24,9 @@ let usage = {|eridb — evidential extended-relation shell
 Usage: eridb [--trace-out FILE] [--provenance-out FILE] [--flight-out FILE]
              [--domains N] [--rule SPEC] [FILE.erd ...]
 
-  --domains N           evaluate queries through the sharded execution
-                        engine with N shards/domains (default: the
-                        ERIDB_DOMAINS environment variable, else 1 =
-                        the classic inline executor)
+  --domains N           fan each query operator out over N shards on
+                        N domains (default: the ERIDB_DOMAINS
+                        environment variable, else 1 = inline)
   --rule SPEC           session combination rule, same spec as .rule
                         (quote multi-word specs: --rule "yager 0.9")
 
@@ -91,20 +90,15 @@ Anything else is evaluated as a query, e.g.:
 
 let env : (string * Erm.Relation.t) list ref = ref []
 
-(* Persistent execution context: indexes built for probes and the
-   Dempster memo-cache survive across queries. Index staleness is
-   handled inside Physical (physical-equality check per lookup), so
-   rebinding a name is safe without invalidation here. *)
+(* Persistent execution context: the Dempster memo-cache survives
+   across queries. Probe indexes are cached inside Physical and checked
+   by physical equality per lookup, so rebinding a name is safe without
+   invalidation here. *)
 let ctx = Query.Physical.create_ctx ()
 
-(* Shard/worker count for the sharded engine; 1 keeps the classic
-   inline executor. Set from ERIDB_DOMAINS or --domains at startup. *)
-let domains = ref 1
-
-let strategy () =
-  if !domains > 1 then
-    Query.Physical.Sharded { Query.Physical.shards = !domains; domains = !domains }
-  else Query.Physical.Inline
+(* One shard and one domain per --domains / ERIDB_DOMAINS (set at
+   startup); the default of 1 runs every operator inline. *)
+let sharded = ref { Query.Physical.shards = 1; domains = 1 }
 
 let bind name r = env := (name, r) :: List.remove_assoc name !env
 
@@ -143,7 +137,7 @@ let current_store : Store.Estore.t option ref = ref None
 
 let run_query text =
   let mark = Obs.Trace.count Obs.Trace.default in
-  (match Query.Physical.run ~ctx ~guard ~strategy:(strategy ()) !env text with
+  (match Query.Physical.run ~ctx ~guard ~sharded:!sharded !env text with
   | r ->
       last_result := Some r;
       Erm.Render.print ~title:"result" r
@@ -229,7 +223,7 @@ let why_command rest =
 (* .rule and --rule share this parser: a rule name, optionally followed
    by a κ-threshold in [0,1] and a fallback action (default quarantine).
    The policy is session-global (Dst.Rule.current), so every merge seam
-   — queries, .store delta, the sharded engine — honors it. *)
+   — queries at any --domains, .store delta — honors it. *)
 let parse_rule_spec spec =
   let ( let* ) = Result.bind in
   match
@@ -294,7 +288,7 @@ let handle_command line =
       | Some i ->
           let name = String.trim (String.sub rest 0 i) in
           let text = String.sub rest (i + 1) (String.length rest - i - 1) in
-          (match Query.Physical.run ~ctx ~strategy:(strategy ()) !env text with
+          (match Query.Physical.run ~ctx ~sharded:!sharded !env text with
           | r ->
               bind name
                 (Erm.Relation.map_tuples
@@ -640,7 +634,7 @@ let handle_command line =
   | ".analyze" -> (
       match Query.Parser.parse rest with
       | q -> (
-          match Query.Explain.analyze ~ctx !env q with
+          match Query.Explain.analyze ~ctx ~sharded:!sharded !env q with
           | r, report ->
               Printf.printf "%s\n" (Query.Explain.report_to_string report);
               Erm.Render.print ~title:"result" r
@@ -692,7 +686,7 @@ let rec split_out flag = function
    quietly change which engine answered the session's queries. *)
 let parse_domains ~what s =
   match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> n
+  | Some n when n >= 1 -> { Query.Physical.shards = n; domains = n }
   | Some _ | None ->
       Printf.eprintf
         "eridb: invalid %s value '%s' (expected a positive integer)\n" what s;
@@ -705,9 +699,8 @@ let () =
       Obs.Log.set_clock (Obs.Clock.simulated ())
   | Some _ | None -> ());
   Obs.Metrics.enable ();
-  Exec.Engine.install ();
   (match Sys.getenv_opt "ERIDB_DOMAINS" with
-  | Some s -> domains := parse_domains ~what:"ERIDB_DOMAINS" s
+  | Some s -> sharded := parse_domains ~what:"ERIDB_DOMAINS" s
   | None -> ());
   let args = List.tl (Array.to_list Sys.argv) in
   (match args with
@@ -741,7 +734,7 @@ let () =
           Obs.Export.on_exit_flush (fun () -> Obs.Export.write_flight file)
       | None -> ());
       (match domains_arg with
-      | Some s -> domains := parse_domains ~what:"--domains" s
+      | Some s -> sharded := parse_domains ~what:"--domains" s
       | None -> ());
       (match rule_arg with
       | Some spec -> (

@@ -188,7 +188,6 @@ let run files relations discount name query csv out report_only fault_plan
     seed retries timeout_ms budget_ms min_sources skip_malformed validate
     metrics_out audit domains store_dir delta_file store_fault_plan rule
     kappa_threshold fallback flight_out =
-  Exec.Engine.install ();
   (match metrics_out with
   | Some _ ->
       Obs.Metrics.enable ();

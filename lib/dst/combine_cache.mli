@@ -26,7 +26,7 @@ type t
 
 val create : ?kernel:Mass.F.kernel -> unit -> t
 (** [kernel] is the per-rule combination run on a miss (default
-    {!Mass.F.combine_rule_opt}). The sharded engine passes
+    {!Mass.F.combine_rule_opt}). Fanned-out execution passes
     {!Flat_mass.kernel} here; because the flat kernels are bit-exact
     against the map kernels, the choice is unobservable in results and
     in hit/miss behavior — only in speed. *)

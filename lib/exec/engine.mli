@@ -1,50 +1,15 @@
-(** The sharded evaluation engine behind
-    [Query.Physical.Sharded].
+(** Sharded multi-source integration.
 
-    Each physical operator is evaluated as [shards] independent
-    sub-evaluations over a content-addressed partition of its inputs
-    ({!Shard}), run through the deterministic task {!Pool}, and folded
-    back together by a canonical ordered merge — so the result is
-    bit-identical to the inline executor's for {e any} shard count and
-    {e any} worker count (the 5th conformance leg in
-    test/test_conformance.ml). Per-shard Dempster combination always
-    runs on the packed {!Dst.Flat_mass} representation through a fresh
-    per-shard {!Dst.Combine_cache} — at every worker count, so cache
-    hit/miss counters cannot depend on [domains].
+    {!integrate} is {!Integration.Multi.integrate} partitioned by key
+    ({!Query.Shard}) and run through the deterministic task
+    {!Query.Pool}: the report is identical to the unsharded one for
+    every shard and worker count (test/test_conformance.ml). Queries do
+    not come through here: {!Query.Physical.execute_measured} is the
+    one physical executor and fans each operator out itself.
 
-    {b Determinism contract} (see DESIGN.md §6–7 for the full
-    argument):
-
-    - provenance recording on, or [shards ≤ 1] → the engine stands
-      aside entirely and runs [Query.Physical.execute], so lineage is
-      plan- and shard-invariant by construction (lineage ids are
-      allocation-ordered and have no buffered mode);
-    - metrics, tracing and the flight recorder run at {e full}
-      parallelism: the {!Pool} forks a per-task telemetry buffer
-      triple and merges at the barrier in task-index order, so metric
-      dumps, span forests and the event journal are byte-identical to
-      a single-worker run ([dst.*], [combine_cache.*],
-      [integration.*], [exec.*] — everything);
-    - counter rollups are worker-count-invariant at a fixed shard
-      count; across {e shard} counts the [exec.*] diagnostics and the
-      per-shard cache hit/miss split legitimately differ (the
-      partition itself changes).
-
-    The engine emits [exec.shards], [exec.shard.rows] and
-    [exec.merge.ns] metrics, [exec.*] spans, and [Shard_spawn] /
-    [Shard_merge] flight-recorder events through the default tracer's
-    clock, so a virtual clock keeps them deterministic. *)
-
-val install : unit -> unit
-(** Register {!execute} as [Query.Physical]'s sharded runner. Idempotent;
-    call once at program start (the binaries and test harnesses do). *)
-
-val reset_scan_cache : unit -> unit
-(** Drop every cached per-shard partition and index. The cache already
-    self-invalidates — entries are keyed on the physical relation and
-    the process-wide store generation ({!Store.Estore.generation}) —
-    so this is for harnesses that compare cold-start metric rollups
-    ([exec.index.build] vs [exec.index.reuse]) across repeated runs. *)
+    [execute] and [reset_scan_cache] are one-line aliases and [install]
+    a no-op, kept so that existing callers such as the benchmark ledger
+    keep compiling. *)
 
 val execute :
   Query.Physical.sharded ->
@@ -52,10 +17,14 @@ val execute :
   Query.Eval.env ->
   Query.Physical.t ->
   Erm.Relation.t
-(** Evaluate a physical plan shard-wise. Raises exactly the inline
-    executor's exceptions ({!Query.Eval.Eval_error}, evidence
-    conflicts); when several shards fail, the lowest-numbered shard's
-    exception wins deterministically. *)
+(** [execute cfg ?ctx env plan] is
+    [Query.Physical.execute ?ctx ~sharded:cfg env plan]. *)
+
+val reset_scan_cache : unit -> unit
+(** {!Query.Physical.reset_scan_cache}. *)
+
+val install : unit -> unit
+(** Does nothing: the physical executor needs no registration. *)
 
 val integrate :
   Query.Physical.sharded ->

@@ -90,7 +90,7 @@ val integrate :
     drives the backoff jitter; given the same seed, clock start, config
     and sources, the result is deterministic. [integrate] substitutes
     the merge itself (default {!Integration.Multi.integrate}) — the
-    federate binary passes the sharded engine's drop-in here; any
+    federate binary passes [Exec.Engine.integrate] here; any
     substitute must be report-identical to the default, which the
     sharded one is by the conformance harness's contract. Evidence
     combines under the session rule ({!Dst.Rule.current}): [?policy] is

@@ -12,7 +12,7 @@
     lower-case: [dst.combine.calls], [combine_cache.hit],
     [physical.index_probe.rows], [federation.retry.attempts],
     [io.parse.lines], [exec.index.build] / [exec.index.reuse] for the
-    generation-keyed scan cache, and the persistent store's
+    sharded partition and index cache, and the persistent store's
     [store.commit.*], [store.delta.*] and [store.recovery.*] families —
     opens, replayed records, truncated tails, manifest fallbacks, typed
     errors). A name is bound to one kind for the registry's

@@ -110,9 +110,9 @@ let to_string n = Format.asprintf "%a" pp n
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE: run the physical plan, report measured stats.      *)
 
-let analyze ?ctx env q =
+let analyze ?ctx ?sharded env q =
   let p = Physical.plan_optimized env q in
-  Physical.execute_measured ?ctx env p
+  Physical.execute_measured ?ctx ?sharded env p
 
 let rec pp_report_indented indent ppf (r : Physical.report) =
   Format.fprintf ppf "%s%s%s %s" indent r.Physical.r_op

@@ -43,8 +43,13 @@ val to_string : node -> string
     per-operator wall time (see {!Stats} for field semantics). *)
 
 val analyze :
-  ?ctx:Physical.ctx -> Eval.env -> Ast.query -> Erm.Relation.t * Physical.report
-(** Raises as {!Eval.eval} does. *)
+  ?ctx:Physical.ctx ->
+  ?sharded:Physical.sharded ->
+  Eval.env ->
+  Ast.query ->
+  Erm.Relation.t * Physical.report
+(** Runs with the given fan-out ({!Physical.execute_measured}). Raises as
+    {!Eval.eval} does. *)
 
 val pp_report : Format.formatter -> Physical.report -> unit
 (** An indented tree mirroring {!pp}, one measured operator per line:

@@ -226,29 +226,86 @@ let pp ppf p = pp_indented "" ppf p
 let to_string p = Format.asprintf "%a" pp p
 
 (* ------------------------------------------------------------------ *)
-(* Execution context                                                   *)
+(* Execution context and fan-out configuration                         *)
 
-type ctx = {
-  indexes : (string * string, Erm.Relation.t * Erm.Index.t) Hashtbl.t;
-  cache : Dst.Combine_cache.t;
-}
+type ctx = { cache : Dst.Combine_cache.t }
 
-let create_ctx () =
-  { indexes = Hashtbl.create 16; cache = Dst.Combine_cache.create () }
-
+let create_ctx () = { cache = Dst.Combine_cache.create () }
 let cache ctx = ctx.cache
 
-(* Indexes are immutable snapshots; reuse one only while the relation
-   bound to the name is physically the same value. A rebound or updated
-   relation misses the [==] test and the index is rebuilt — staleness by
-   construction cannot be observed through the context. *)
-let index_for ctx name r attr =
-  match Hashtbl.find_opt ctx.indexes (name, attr) with
-  | Some (r0, idx) when r0 == r -> idx
-  | _ ->
-      let idx = Erm.Index.build r attr in
-      Hashtbl.replace ctx.indexes (name, attr) (r, idx);
-      idx
+type sharded = { shards : int; domains : int }
+
+(* A per-shard Dempster cache backed by the flat-representation kernel,
+   with its own interner table per frame (interners are
+   single-threaded). *)
+let flat_cache () =
+  let tables = ref [] in
+  let resolve frame =
+    match
+      List.find_opt (fun (f, _) -> Dst.Domain.equal f frame) !tables
+    with
+    | Some (_, it) -> it
+    | None ->
+        let it = Dst.Interner.create frame in
+        tables := (frame, it) :: !tables;
+        it
+  in
+  Dst.Combine_cache.create ~kernel:(Dst.Flat_mass.kernel resolve) ()
+
+(* ------------------------------------------------------------------ *)
+(* Partition and index cache                                           *)
+
+(* Base-relation partitions and their per-shard indexes survive across
+   queries and contexts, keyed by (name, shards). An entry is reused
+   only while the name binds the physically identical relation value:
+   relations are immutable, so a rebound name, an updated relation or a
+   store commit all miss the [==] test and rebuild — staleness cannot be
+   observed. Entries are ephemerons keyed on that relation, so the cache
+   never keeps a relation (or its indexes) alive after its last binding
+   is gone. Only the domain that calls the executor touches an entry,
+   before any fan-out; the lock covers executors called from several
+   domains at once. *)
+
+type scan_entry = {
+  c_parts : Erm.Relation.t array;
+  mutable c_indexes : (string * Erm.Index.t array) list;
+}
+
+let scan_cache :
+    (string * int, (Erm.Relation.t, scan_entry) Ephemeron.K1.t) Hashtbl.t =
+  Hashtbl.create 8
+
+let scan_lock = Mutex.create ()
+let locked f = Mutex.protect scan_lock f
+let reset_scan_cache () = locked (fun () -> Hashtbl.reset scan_cache)
+
+let cached_parts ~shards name base =
+  locked (fun () ->
+      match
+        Option.bind
+          (Hashtbl.find_opt scan_cache (name, shards))
+          (fun eph -> Ephemeron.K1.query eph base)
+      with
+      | Some e -> e
+      | None ->
+          let e = { c_parts = Shard.by_key ~shards base; c_indexes = [] } in
+          Hashtbl.replace scan_cache (name, shards) (Ephemeron.K1.make base e);
+          e)
+
+(* Like every exec.* metric, the build/reuse counters only count work
+   done for a real fan-out. *)
+let cached_indexes ~shards e attr =
+  let note name = if shards > 1 then Obs.Metrics.incr name in
+  locked (fun () ->
+      match List.assoc_opt attr e.c_indexes with
+      | Some idxs ->
+          note "exec.index.reuse";
+          idxs
+      | None ->
+          let idxs = Array.map (fun p -> Erm.Index.build p attr) e.c_parts in
+          e.c_indexes <- (attr, idxs) :: e.c_indexes;
+          note "exec.index.build";
+          idxs)
 
 (* ------------------------------------------------------------------ *)
 (* Executor                                                            *)
@@ -285,8 +342,81 @@ let lookup_two sa sb a =
   | Some attr -> Some attr
   | None -> Erm.Schema.find_opt sb a
 
-let execute_measured ?ctx env p =
+let note_shard_rows parts =
+  if Obs.Metrics.on () then
+    Array.iter
+      (fun r ->
+        Obs.Metrics.observe "exec.shard.rows"
+          (float_of_int (Erm.Relation.cardinal r)))
+      parts
+
+let sum f tallies = Array.fold_left (fun n t -> n + f t) 0 tallies
+
+let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
   let ctx = match ctx with Some c -> c | None -> create_ctx () in
+  (* Lineage ids are allocation-ordered, so only an unpartitioned run
+     reproduces the arena byte for byte: recording forces one shard. *)
+  let shards = if Obs.Provenance.on () then 1 else max 1 sharded.shards in
+  let workers = max 1 sharded.domains in
+  if shards > 1 then begin
+    Obs.Metrics.gauge "exec.shards" (float_of_int shards);
+    Obs.Metrics.gauge "exec.workers" (float_of_int workers)
+  end;
+  (* One Dempster cache per shard. A single shard uses the context's
+     memo cache, which stays warm across queries; several shards get a
+     fresh flat-kernel cache each per execute, at every worker count, so
+     combine_cache.* counters cannot depend on [domains]. *)
+  let caches =
+    if shards = 1 then [| ctx.cache |]
+    else Array.init shards (fun _ -> flat_cache ())
+  in
+  let event kind op fields msg =
+    if Obs.Log.on () then
+      Obs.Log.record ~severity:Obs.Log.Debug
+        ~fields:(("op", "exec." ^ op) :: fields)
+        kind
+        (msg ^ " exec." ^ op)
+  in
+  (* Run [body i inputs] for each shard [i] of [partition ()] and merge
+     the per-shard relations; the per-shard tallies [body] returns come
+     back in shard order, for the caller to sum after the barrier. One
+     shard runs [body 0] inline, with no merge and no exec.* telemetry.
+     The pool forks a telemetry buffer per shard and merges them in
+     shard order, so recordings are identical at every worker count. *)
+  let fan_out_tallied op partition body =
+    if shards = 1 then
+      let out, tally = body 0 (partition ()) in
+      (out, [| tally |])
+    else
+      let go () =
+        let inputs = partition () in
+        event Obs.Log.Shard_spawn op
+          [ ("shards", string_of_int shards);
+            ("workers", string_of_int workers) ]
+          "fan out";
+        let outs =
+          Pool.run ~domains:workers ~tasks:shards (fun i -> body i inputs)
+        in
+        let parts = Array.map fst outs in
+        note_shard_rows parts;
+        let out = Shard.merge parts in
+        event Obs.Log.Shard_merge op
+          [ ("rows", string_of_int (Erm.Relation.cardinal out)) ]
+          "merged";
+        (out, Array.map snd outs)
+      in
+      if Obs.Trace.on () then
+        Obs.Trace.with_span ~cat:"exec"
+          ~args:[ ("shards", string_of_int shards) ]
+          ("exec." ^ op) go
+      else go ()
+  in
+  let fan_out op partition body =
+    fst (fan_out_tallied op partition (fun i inputs -> (body i inputs, ())))
+  in
+  let by_key r () = Shard.by_key ~shards r in
+  let by_keys ra rb () = (Shard.by_key ~shards ra, Shard.by_key ~shards rb) in
+  let card = Erm.Relation.cardinal in
   let rec exec p =
     if Obs.Trace.on () then
       let op, detail = label p in
@@ -297,180 +427,196 @@ let execute_measured ?ctx env p =
     else exec_node p
   and exec_node p =
     let stats = Stats.create () in
-    let finish ~children out =
-      stats.Stats.rows_out <- Erm.Relation.cardinal out;
+    let timed f =
+      let t0 = now_ns () in
+      let out = f () in
+      stats.Stats.wall_ns <- now_ns () -. t0;
+      out
+    in
+    (* [pruned] defaults to the tuples the operator dropped. *)
+    let finish ~children ~rows_in ?pruned out =
+      stats.Stats.rows_in <- rows_in;
+      stats.Stats.rows_out <- card out;
+      stats.Stats.pruned <- Option.value pruned ~default:(rows_in - card out);
       let op, detail = label p in
       Stats.publish ~op stats;
       Log.debug (fun m -> m "%s [%s] %s" op detail (Stats.to_string stats));
       (out, { r_op = op; r_detail = detail; r_stats = stats; r_children = children })
     in
     match p with
-    | Scan { rel; access; residual; threshold; cols } -> (
+    | Scan { rel; access = Seq_scan; residual; threshold; cols } ->
         let base = rel_of env rel in
-        match access with
-        | Seq_scan ->
-            let t0 = now_ns () in
-            let out = select_project base residual threshold cols in
-            stats.Stats.wall_ns <- now_ns () -. t0;
-            stats.Stats.rows_in <- Erm.Relation.cardinal base;
-            stats.Stats.pruned <-
-              stats.Stats.rows_in - Erm.Relation.cardinal out;
-            finish ~children:[] out
-        | Index_eq { attr; value } ->
-            let t0 = now_ns () in
-            let idx = index_for ctx rel base attr in
-            let bucket = Erm.Index.select_eq idx base value in
-            let candidates = Erm.Relation.cardinal bucket in
-            Obs.Metrics.observe "physical.index_probe.rows"
-              (float_of_int candidates);
-            if candidates > 0 then stats.Stats.index_hits <- 1
-            else stats.Stats.index_misses <- 1;
-            let out = select_project bucket residual threshold cols in
-            stats.Stats.wall_ns <- now_ns () -. t0;
-            stats.Stats.rows_in <- candidates;
-            stats.Stats.pruned <- candidates - Erm.Relation.cardinal out;
-            finish ~children:[] out)
+        let out =
+          timed (fun () ->
+              fan_out "scan"
+                (fun () ->
+                  if shards = 1 then [| base |]
+                  else (cached_parts ~shards rel base).c_parts)
+                (fun i parts -> select_project parts.(i) residual threshold cols))
+        in
+        finish ~children:[] ~rows_in:(card base) out
+    | Scan { rel; access = Index_eq { attr; value }; residual; threshold; cols }
+      ->
+        (* A per-shard probe is exact: the bucket union over shards is the
+           whole-relation bucket, and the residual runs per tuple. It
+           still counts as one probe. *)
+        let base = rel_of env rel in
+        let out, buckets =
+          timed (fun () ->
+              fan_out_tallied "scan"
+                (fun () ->
+                  let e = cached_parts ~shards rel base in
+                  (e.c_parts, cached_indexes ~shards e attr))
+                (fun i (parts, idxs) ->
+                  let bucket = Erm.Index.select_eq idxs.(i) parts.(i) value in
+                  (select_project bucket residual threshold cols, card bucket)))
+        in
+        let candidates = sum Fun.id buckets in
+        Obs.Metrics.observe "physical.index_probe.rows" (float_of_int candidates);
+        if candidates > 0 then stats.Stats.index_hits <- 1
+        else stats.Stats.index_misses <- 1;
+        finish ~children:[] ~rows_in:candidates out
     | Filter { input; where; threshold; cols } ->
         let child, crep = exec input in
-        let t0 = now_ns () in
-        let out = select_project child where threshold cols in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <- Erm.Relation.cardinal child;
-        stats.Stats.pruned <- stats.Stats.rows_in - Erm.Relation.cardinal out;
-        finish ~children:[ crep ] out
+        let out =
+          timed (fun () ->
+              fan_out "filter" (by_key child) (fun i parts ->
+                  select_project parts.(i) where threshold cols))
+        in
+        finish ~children:[ crep ] ~rows_in:(card child) out
     | Hash_join { left; right; left_attr; right_attr; residual; threshold } ->
         let ra, arep = exec left in
         let rb, brep = exec right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
         let pred = Eval.bind_pred (lookup_two sa sb) residual in
-        let matched = ref 0 and kept = ref 0 in
-        let tally ~hit ~matched:m ~kept:k =
-          if hit then stats.Stats.index_hits <- stats.Stats.index_hits + 1
-          else stats.Stats.index_misses <- stats.Stats.index_misses + 1;
-          matched := !matched + m;
-          kept := !kept + k
+        let out, tallies =
+          timed (fun () ->
+              fan_out_tallied "hash-join"
+                (fun () ->
+                  (* Partition both sides by the join value: equal values —
+                     the only pairs the equi-join keeps — share a shard. *)
+                  ( Shard.by_value ~shards ~attr:left_attr ra,
+                    Shard.by_value ~shards ~attr:right_attr rb ))
+                (fun i (pa, pb) ->
+                  let hits = ref 0 and misses = ref 0 and pruned = ref 0 in
+                  let tally ~hit ~matched ~kept =
+                    incr (if hit then hits else misses);
+                    pruned := !pruned + matched - kept
+                  in
+                  let out =
+                    try
+                      Erm.Ops.join_indexed ~threshold ~residual:pred ~tally
+                        ~left_attr ~right_attr pa.(i) pb.(i)
+                    with Erm.Schema.Schema_error m -> fail "join: %s" m
+                  in
+                  (out, (!hits, !misses, !pruned))))
         in
-        let t0 = now_ns () in
-        let out =
-          try
-            Erm.Ops.join_indexed ~threshold ~residual:pred ~tally ~left_attr
-              ~right_attr ra rb
-          with Erm.Schema.Schema_error m -> fail "join: %s" m
-        in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <-
-          Erm.Relation.cardinal ra + Erm.Relation.cardinal rb;
-        stats.Stats.pruned <- !matched - !kept;
-        finish ~children:[ arep; brep ] out
+        stats.Stats.index_hits <- sum (fun (h, _, _) -> h) tallies;
+        stats.Stats.index_misses <- sum (fun (_, m, _) -> m) tallies;
+        finish ~children:[ arep; brep ]
+          ~rows_in:(card ra + card rb)
+          ~pruned:(sum (fun (_, _, p) -> p) tallies)
+          out
     | Loop_join { left; right; on; threshold } ->
         let ra, arep = exec left in
         let rb, brep = exec right in
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
         let pred = Eval.bind_pred (lookup_two sa sb) on in
-        let t0 = now_ns () in
+        (* Left-only partition, right replicated: each output tuple's key
+           embeds its left tuple's key, so outputs stay disjoint. *)
         let out =
-          try Erm.Ops.join ~threshold pred ra rb
-          with Erm.Schema.Schema_error m -> fail "join: %s" m
+          timed (fun () ->
+              fan_out "loop-join" (by_key ra) (fun i parts ->
+                  try Erm.Ops.join ~threshold pred parts.(i) rb
+                  with Erm.Schema.Schema_error m -> fail "join: %s" m))
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <-
-          Erm.Relation.cardinal ra + Erm.Relation.cardinal rb;
-        stats.Stats.pruned <-
-          (Erm.Relation.cardinal ra * Erm.Relation.cardinal rb)
-          - Erm.Relation.cardinal out;
-        finish ~children:[ arep; brep ] out
+        finish ~children:[ arep; brep ]
+          ~rows_in:(card ra + card rb)
+          ~pruned:((card ra * card rb) - card out)
+          out
     | Product (a, b) ->
         let ra, arep = exec a in
         let rb, brep = exec b in
-        let t0 = now_ns () in
         let out =
-          try Erm.Ops.product ra rb
-          with Erm.Schema.Schema_error m -> fail "product: %s" m
+          timed (fun () ->
+              fan_out "product" (by_key ra) (fun i parts ->
+                  try Erm.Ops.product parts.(i) rb
+                  with Erm.Schema.Schema_error m -> fail "product: %s" m))
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <-
-          Erm.Relation.cardinal ra + Erm.Relation.cardinal rb;
-        stats.Stats.pruned <-
-          (Erm.Relation.cardinal ra * Erm.Relation.cardinal rb)
-          - Erm.Relation.cardinal out;
-        finish ~children:[ arep; brep ] out
+        finish ~children:[ arep; brep ]
+          ~rows_in:(card ra + card rb)
+          ~pruned:((card ra * card rb) - card out)
+          out
     | Union (a, b) ->
         let ra, arep = exec a in
         let rb, brep = exec b in
-        let h0 = Dst.Combine_cache.hits ctx.cache
-        and m0 = Dst.Combine_cache.misses ctx.cache in
-        let t0 = now_ns () in
-        let out =
-          try Erm.Ops.union_cached ~cache:ctx.cache ra rb
-          with Erm.Ops.Incompatible_schemas m -> fail "union: %s" m
+        let out, tallies =
+          timed (fun () ->
+              fan_out_tallied "union" (by_keys ra rb) (fun i (pa, pb) ->
+                  let cache = caches.(i) in
+                  let h0 = Dst.Combine_cache.hits cache
+                  and m0 = Dst.Combine_cache.misses cache in
+                  let out =
+                    try Erm.Ops.union_cached ~cache pa.(i) pb.(i)
+                    with Erm.Ops.Incompatible_schemas m -> fail "union: %s" m
+                  in
+                  ( out,
+                    ( Dst.Combine_cache.hits cache - h0,
+                      Dst.Combine_cache.misses cache - m0 ) )))
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.cache_hits <- Dst.Combine_cache.hits ctx.cache - h0;
-        stats.Stats.cache_misses <- Dst.Combine_cache.misses ctx.cache - m0;
-        stats.Stats.rows_in <-
-          Erm.Relation.cardinal ra + Erm.Relation.cardinal rb;
-        stats.Stats.pruned <-
-          stats.Stats.rows_in - Erm.Relation.cardinal out;
-        finish ~children:[ arep; brep ] out
+        stats.Stats.cache_hits <- sum fst tallies;
+        stats.Stats.cache_misses <- sum snd tallies;
+        finish ~children:[ arep; brep ] ~rows_in:(card ra + card rb) out
     | Intersect (a, b) ->
         let ra, arep = exec a in
         let rb, brep = exec b in
-        let t0 = now_ns () in
         let out =
-          try Erm.Ops.intersection ra rb
-          with Erm.Ops.Incompatible_schemas m -> fail "intersect: %s" m
+          timed (fun () ->
+              fan_out "intersect" (by_keys ra rb) (fun i (pa, pb) ->
+                  try Erm.Ops.intersection pa.(i) pb.(i)
+                  with Erm.Ops.Incompatible_schemas m -> fail "intersect: %s" m))
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <-
-          Erm.Relation.cardinal ra + Erm.Relation.cardinal rb;
-        stats.Stats.pruned <-
-          stats.Stats.rows_in - Erm.Relation.cardinal out;
-        finish ~children:[ arep; brep ] out
+        finish ~children:[ arep; brep ] ~rows_in:(card ra + card rb) out
     | Except (a, b) ->
         let ra, arep = exec a in
         let rb, brep = exec b in
-        let t0 = now_ns () in
         let out =
-          try Erm.Ops.difference ra rb
-          with Erm.Ops.Incompatible_schemas m -> fail "except: %s" m
+          timed (fun () ->
+              fan_out "except" (by_keys ra rb) (fun i (pa, pb) ->
+                  try Erm.Ops.difference pa.(i) pb.(i)
+                  with Erm.Ops.Incompatible_schemas m -> fail "except: %s" m))
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <- Erm.Relation.cardinal ra;
-        stats.Stats.pruned <-
-          stats.Stats.rows_in - Erm.Relation.cardinal out;
-        finish ~children:[ arep; brep ] out
+        finish ~children:[ arep; brep ] ~rows_in:(card ra) out
     | Rank { input; by; ascending; limit } ->
+        (* A LIMIT cuts globally, so rank runs on the merged child. *)
         let child, crep = exec input in
         let order =
           match by with
           | Erm.Threshold.Sn -> Erm.Rank.By_sn
           | Erm.Threshold.Sp -> Erm.Rank.By_sp
         in
-        let t0 = now_ns () in
         let out =
-          match limit with
-          | None -> child
-          | Some k ->
-              if ascending then Erm.Rank.bottom ~order k child
-              else Erm.Rank.top ~order k child
+          timed (fun () ->
+              match limit with
+              | None -> child
+              | Some k ->
+                  if ascending then Erm.Rank.bottom ~order k child
+                  else Erm.Rank.top ~order k child)
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <- Erm.Relation.cardinal child;
-        finish ~children:[ crep ] out
+        finish ~children:[ crep ] ~rows_in:(card child) ~pruned:0 out
     | Prefix { input; prefix } ->
         let child, crep = exec input in
-        let t0 = now_ns () in
         let out =
-          try Erm.Ops.rename_attrs (fun n -> prefix ^ n) child
-          with Erm.Schema.Schema_error m -> fail "prefix: %s" m
+          timed (fun () ->
+              try Erm.Ops.rename_attrs (fun n -> prefix ^ n) child
+              with Erm.Schema.Schema_error m -> fail "prefix: %s" m)
         in
-        stats.Stats.wall_ns <- now_ns () -. t0;
-        stats.Stats.rows_in <- Erm.Relation.cardinal child;
-        finish ~children:[ crep ] out
+        finish ~children:[ crep ] ~rows_in:(card child) ~pruned:0 out
   in
   exec p
 
-let execute ?ctx env p = fst (execute_measured ?ctx env p)
+let execute ?ctx ?sharded env p = fst (execute_measured ?ctx ?sharded env p)
+
 exception Rejected of string list
 
 let apply_guard guard env q =
@@ -478,32 +624,9 @@ let apply_guard guard env q =
   | None -> ()
   | Some g -> ( match g env q with [] -> () | findings -> raise (Rejected findings))
 
-(* ------------------------------------------------------------------ *)
-(* Execution strategy                                                  *)
-
-type sharded = { shards : int; domains : int }
-type strategy = Inline | Sharded of sharded
-
-(* The sharded engine lives in lib/exec, which depends on this module
-   (it reuses the plan type and the per-operator semantics). Dispatch
-   therefore goes through an installed hook rather than a direct call:
-   Exec.Engine.install sets it at program start. *)
-let sharded_runner :
-    (sharded -> ctx -> Eval.env -> t -> Erm.Relation.t) option ref =
-  ref None
-
-let set_sharded_runner f = sharded_runner := Some f
-
-let eval_fast ?ctx ?guard ?(strategy = Inline) env q =
+let eval_fast ?ctx ?guard ?sharded env q =
   apply_guard guard env q;
-  match strategy with
-  | Inline -> execute ?ctx env (plan_optimized env q)
-  | Sharded cfg -> (
-      match !sharded_runner with
-      | Some runner ->
-          let ctx = match ctx with Some c -> c | None -> create_ctx () in
-          runner cfg ctx env (plan_optimized env q)
-      | None -> fail "sharded execution engine not installed")
+  execute ?ctx ?sharded env (plan_optimized env q)
 
-let run ?ctx ?guard ?strategy env input =
-  eval_fast ?ctx ?guard ?strategy env (Parser.parse input)
+let run ?ctx ?guard ?sharded env input =
+  eval_fast ?ctx ?guard ?sharded env (Parser.parse input)

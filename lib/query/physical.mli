@@ -1,4 +1,4 @@
-(** Physical query plans: the executable counterpart of {!Ast.query}.
+(** Physical query plans and the one physical executor.
 
     {!Plan} rewrites the logical tree algebraically; this module picks
     {e access paths} and {e join algorithms} for the rewritten tree and
@@ -15,11 +15,17 @@
       ({!Erm.Ops.join_indexed}) with the remaining conjuncts as a
       residual; θ-predicates over evidence sets keep the nested loop;
     - extended unions route their Dempster combinations through a
-      {e memo-cache} ({!Dst.Combine_cache}) shared across the context.
+      {e memo-cache} ({!Dst.Combine_cache}).
 
-    Both fast paths are property-tested tuple-for-tuple — including the
-    derived [(sn, sp)] memberships — against the naive {!Eval} pipeline
-    in [test/test_plan_equiv.ml]. *)
+    Every operator that can be partitioned runs as [shards] independent
+    sub-evaluations over a content-addressed partition of its inputs
+    ({!Shard}), through the deterministic task {!Pool}, folded back by
+    the canonical {!Shard.merge}. One shard is the same code with the
+    partition [[|r|]], the body called inline and no merge. The result
+    is bit-identical for every shard and worker count: the planner's
+    fast paths are property-tested against the naive {!Eval} pipeline
+    in [test/test_plan_equiv.ml], and the shard × worker grid in
+    [test/test_conformance.ml]. *)
 
 type access =
   | Seq_scan
@@ -89,18 +95,32 @@ val to_string : t -> string
 (** {1 Execution} *)
 
 type ctx
-(** Execution context: an index cache keyed by [(relation name,
-    attribute)] and the shared Dempster memo-cache. Reusing a context
-    across queries (as the REPL does) reuses indexes and memoized
-    combinations. An index is reused only while the environment still
-    binds the {e physically identical} relation value, so
-    {!Erm.Relation.replace}-style updates can never be served stale
-    results (exercised in [test/test_index.ml]). *)
+(** Execution context: the Dempster memo-cache that single-shard unions
+    combine through. Reusing a context across queries (as the REPL does)
+    reuses memoized combinations. *)
 
 val create_ctx : unit -> ctx
 
 val cache : ctx -> Dst.Combine_cache.t
 (** The context's Dempster memo-cache (for lifetime statistics). *)
+
+type sharded = {
+  shards : int;  (** Partitions per operator (≥ 1). *)
+  domains : int;  (** Worker budget for {!Pool} (≥ 1). *)
+}
+(** How far each operator fans out. The executors default to
+    [{shards = 1; domains = 1}]. *)
+
+val reset_scan_cache : unit -> unit
+(** Drop every cached base-relation partition and index. Probes and
+    sharded scans keep them process-wide, keyed by (relation name,
+    shard count), and reuse an entry only while the name binds the
+    {e physically identical} relation value — relations are immutable,
+    so a rebound name, an {!Erm.Relation.replace}-style update or a
+    store commit can never be served stale results (exercised in
+    [test/test_index.ml] and [test/test_exec.ml]). The cache outlives
+    contexts; this is for harnesses that compare cold-start
+    [exec.index.build] / [exec.index.reuse] counts across runs. *)
 
 type report = {
   r_op : string;  (** Operator name as printed by {!pp}. *)
@@ -110,42 +130,40 @@ type report = {
 }
 (** Measured execution tree — one node per physical operator. *)
 
-val execute_measured : ?ctx:ctx -> Eval.env -> t -> Erm.Relation.t * report
+val execute_measured :
+  ?ctx:ctx -> ?sharded:sharded -> Eval.env -> t -> Erm.Relation.t * report
 (** Run the plan, collecting per-operator statistics. Wall times exclude
-    children; input cardinalities are measured, not estimated. Raises as
-    {!Eval.eval} does ({!Eval.Eval_error}, evidence conflicts). *)
+    children; input cardinalities are measured, not estimated. The
+    report tree's shape, details and row counts do not depend on
+    [sharded] (which counters are summed per shard: see {!Stats}).
 
-val execute : ?ctx:ctx -> Eval.env -> t -> Erm.Relation.t
+    Caches: with one shard, unions combine through the context's
+    memo-cache; with several, each shard gets a fresh flat-kernel cache
+    ({!Dst.Flat_mass}) per call, at every worker count.
+
+    Telemetry: every operator emits a [query.physical] span and
+    [physical.<op>.*] metrics. Only a real fan-out ([shards > 1]) adds
+    [exec.<op>] spans, the [exec.shards], [exec.workers],
+    [exec.shard.rows], [exec.merge.ns] and [exec.index.*] metrics and
+    [Shard_spawn] / [Shard_merge] flight-recorder events; the pool
+    forks and merges telemetry per shard, so recordings are
+    byte-identical at every worker count. Provenance recording forces
+    one shard: lineage ids are allocation-ordered.
+
+    Raises as {!Eval.eval} does ({!Eval.Eval_error}, evidence
+    conflicts); when several shards fail, the lowest-numbered shard's
+    exception wins. *)
+
+val execute :
+  ?ctx:ctx -> ?sharded:sharded -> Eval.env -> t -> Erm.Relation.t
 
 exception Rejected of string list
 (** Raised before execution when a [guard] reports findings. *)
 
-(** {1 Execution strategy} *)
-
-type sharded = {
-  shards : int;  (** Partitions per operator (≥ 1). *)
-  domains : int;  (** Worker budget for {!Exec.Pool} (≥ 1). *)
-}
-
-type strategy =
-  | Inline  (** Today's single-threaded executor — the default. *)
-  | Sharded of sharded
-      (** Partitioned evaluation through [Exec.Engine]. Bit-exact
-          against [Inline] for every plan (differentially tested in
-          test/test_conformance.ml); [{shards = 1; _}] collapses to
-          [Inline] outright. *)
-
-val set_sharded_runner :
-  (sharded -> ctx -> Eval.env -> t -> Erm.Relation.t) -> unit
-(** Install the sharded engine. [Exec.Engine.install] calls this at
-    program start; the indirection exists because lib/exec depends on
-    this module for the plan type. Evaluating with [Sharded _] before
-    installation raises {!Eval.Eval_error}. *)
-
 val eval_fast :
   ?ctx:ctx ->
   ?guard:(Eval.env -> Ast.query -> string list) ->
-  ?strategy:strategy ->
+  ?sharded:sharded ->
   Eval.env ->
   Ast.query ->
   Erm.Relation.t
@@ -160,7 +178,7 @@ val eval_fast :
 val run :
   ?ctx:ctx ->
   ?guard:(Eval.env -> Ast.query -> string list) ->
-  ?strategy:strategy ->
+  ?sharded:sharded ->
   Eval.env ->
   string ->
   Erm.Relation.t

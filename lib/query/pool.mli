@@ -10,7 +10,7 @@
     Determinism contract: the {e result} is the indexed array, so it
     cannot depend on which worker ran which task or in what order they
     finished — provided [f] itself touches no shared mutable state.
-    The engine honours that proviso by giving each task its own
+    The executor honours that proviso by giving each task its own
     interner, scratch and cache; the process-global telemetry stores
     are handled by the pool itself. Before spawning, the parallel path
     forks one [Obs.Metrics] / [Obs.Trace] / [Obs.Log] buffer per task
@@ -21,7 +21,7 @@
     so counters, histogram state, span forests and the event journal
     are byte-identical to an inline single-worker run — whatever the
     worker count. Provenance recording has no buffered mode; the
-    engine routes provenance-recording runs through its inline path.
+    executor runs one shard while it is on.
 
     Worker counts larger than the machine's core count are valid (the
     extra domains just time-share); CI runs this on one core.

@@ -25,3 +25,20 @@ let by_value ~shards ~attr r =
   partition ~shards
     (fun t -> Dst.Value.to_string (Erm.Etuple.definite_value schema t attr))
     r
+
+(* Fold the shards back together in ascending shard order. Relation.add
+   inserts into a key-ordered map, so the merged value is independent of
+   that order anyway, and a Duplicate_key escape means the partition
+   invariant broke — fail loudly rather than mask it. *)
+let merge parts =
+  let now () = (Obs.Trace.clock Obs.Trace.default).Obs.Clock.now_ms () *. 1e6 in
+  let t0 = now () in
+  let out =
+    Array.fold_left
+      (fun acc part ->
+        Erm.Relation.fold (fun t acc -> Erm.Relation.add acc t) part acc)
+      (Erm.Relation.empty (Erm.Relation.schema parts.(0)))
+      parts
+  in
+  Obs.Metrics.observe "exec.merge.ns" (now () -. t0);
+  out

@@ -1,4 +1,4 @@
-(** Deterministic relation partitioning for the sharded engine.
+(** Deterministic relation partitioning for fanned-out execution.
 
     Tuples route to shards by an MD5 digest of a canonical string — the
     same [Digest.string] the provenance arena already uses for value
@@ -30,3 +30,9 @@ val by_value :
 (** Partition by the definite value of [attr].
     @raise Invalid_argument via {!Erm.Etuple.definite_value} if [attr]
     is missing or evidential. *)
+
+val merge : Erm.Relation.t array -> Erm.Relation.t
+(** The canonical merge: the union of a non-empty array of disjoint
+    shards under the first shard's schema, recording the time taken in
+    the [exec.merge.ns] histogram.
+    @raise Erm.Relation.Duplicate_key if two shards share a key. *)

@@ -19,7 +19,19 @@
       ({!Dst.Combine_cache}) attributable to this operator (union and
       intersection only).
     - [wall_ns] — wall-clock time spent in this operator, {e excluding}
-      its children. *)
+      its children (partitioning, fan-out and merge included).
+
+    When an operator fans out over several shards, each shard returns
+    its own tallies and the executor sums them after the barrier, so
+    only the calling domain writes these fields. Summed per shard:
+    an index probe's bucket size ([rows_in], still counted as one
+    probe), a hash join's [index_hits]/[index_misses] and [pruned], and
+    a union's [cache_hits]/[cache_misses]. All of these except the
+    cache counters equal the one-shard values. The cache counters do
+    not: one shard combines through the context's memo-cache, which
+    may be warm from earlier queries, while several shards each start
+    from a fresh cache. Every other field is computed from whole
+    relations. *)
 
 type t = {
   mutable rows_in : int;

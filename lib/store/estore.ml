@@ -5,11 +5,6 @@ type t = {
   mutable relation : Erm.Relation.t;
 }
 
-(* Process-global store generation: bumped whenever any store commits,
-   so caches keyed on stored relations (the execution engine's
-   per-shard indexes) can invalidate without holding a store handle. *)
-let generation_counter = Atomic.make 0
-let generation () = Atomic.get generation_counter
 let segment_name version = Printf.sprintf "%06d.seg" version
 
 let fail e =
@@ -64,7 +59,6 @@ let create ?(io = Io.real) ~dir ~name relation =
         }
       in
       Manifest.write io dir manifest;
-      Atomic.incr generation_counter;
       if Obs.Metrics.on () then begin
         Obs.Metrics.incr "store.commit.count";
         Obs.Metrics.incr ~by:(List.length records) "store.commit.records"
@@ -149,7 +143,6 @@ let append_commit t records new_relation =
   Manifest.write t.io t.dir manifest;
   t.manifest <- manifest;
   t.relation <- new_relation;
-  Atomic.incr generation_counter;
   if Obs.Metrics.on () then begin
     Obs.Metrics.incr "store.commit.count";
     Obs.Metrics.incr ~by:(List.length records) "store.commit.records";

@@ -10,12 +10,6 @@
 
 type t
 
-val generation : unit -> int
-(** Process-global commit counter: bumped whenever {e any} store
-    commits. Caches derived from stored relations (e.g. the execution
-    engine's per-shard indexes) key on this to invalidate on delta
-    application. *)
-
 val create : ?io:Io.t -> dir:string -> name:string -> Erm.Relation.t -> t
 (** Materialize a relation as version 1 of a new store.
     @raise Recovery.Store_error if a store already exists at [dir] or

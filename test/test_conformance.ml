@@ -6,8 +6,8 @@
    - the physical planner (Query.Physical), with tracing off and on and
      with provenance recording on — observability must have no observer
      effect;
-   - the sharded engine (Exec.Engine behind Query.Physical.Sharded),
-     for every tested shard count × worker (domain) count, including
+   - the same executor fanned out (Query.Physical ~sharded), for
+     every tested shard count × worker (domain) count, including
      with tracing or provenance recording live — partitioning and
      parallelism must have no representational effect either (the
      per-shard fast paths run Dst.Flat_mass kernels);
@@ -81,12 +81,11 @@ let exact_rel_equal r1 r2 =
 
 (* --- shared fixtures ------------------------------------------------- *)
 
-(* One execution context across all cases: the index cache sees a stream
-   of distinct relations under the same names, so staleness bugs break
-   conformance immediately (same construction as test_plan_equiv). *)
+(* One execution context across all cases, and the executor's
+   process-wide index cache sees a stream of distinct relations under the
+   same names, so staleness bugs break conformance immediately (same
+   construction as test_plan_equiv). *)
 let ctx = Query.Physical.create_ctx ()
-
-let () = Exec.Engine.install ()
 
 (* CI's obs job sets ERIDB_OBS=1: the whole grid then runs with the
    default metrics registry, tracer and flight recorder live, proving
@@ -123,9 +122,7 @@ let sharded_grid ~ctx env q check =
       List.for_all
         (fun domains ->
           check
-            (Query.Physical.eval_fast ~ctx
-               ~strategy:(Query.Physical.Sharded { shards; domains })
-               env q))
+            (Query.Physical.eval_fast ~ctx ~sharded:{ shards; domains } env q))
         domain_counts)
     shard_counts
 

@@ -1,26 +1,26 @@
-(* The sharded engine's determinism contract, tested directly (the
+(* The fanned-out executor's determinism contract, tested directly (the
    result-conformance legs live in test_conformance.ml):
 
    - Pool: results indexed by task, lowest-index exception wins, worker
      counts beyond the core count are fine (CI runs on 1 core — every
      count here must pass there);
    - Shard: partitions are deterministic disjoint covers;
-   - Engine: for a fixed query and seed, the rendered result is
-     byte-identical for every worker count; metrics rollups (under a
+   - Physical ~sharded: for a fixed query and seed, the rendered result
+     is byte-identical for every worker count; metrics rollups (under a
      virtual clock) and the lineage DOT export are byte-identical too;
-     and the dst.*/combine_cache.* counter families are invariant
-     across SHARD counts, not just worker counts. *)
+     the measured report tree keeps its shape and row counts at every
+     shard and worker count; and the dst.*/combine_cache.* counter
+     families are invariant across SHARD counts, not just worker
+     counts. *)
 
 module R = Workload.Rng
 module G = Workload.Gen
 module Q = Workload.Qgen
 module P = Query.Physical
 
-let () = Exec.Engine.install ()
-
 let render r = Format.asprintf "%a" Erm.Relation.pp r
 
-let strategy shards domains = P.Sharded { P.shards; domains }
+let sharded shards domains = { P.shards; domains }
 
 (* A workload with guaranteed key overlap, so unions actually combine
    evidence (and the combine caches see traffic). *)
@@ -30,6 +30,26 @@ let env_of seed =
   [ ("ra", ra); ("rb", rb) ]
 
 let union_q = Query.Ast.Union (Query.Ast.Rel "ra", Query.Ast.Rel "rb")
+
+(* An Index_eq probe over ra's definite attribute: the planner picks the
+   index access path, and the executor serves it from the scan cache. *)
+let index_probe_on value =
+  Query.Ast.Select
+    { cols = None;
+      from = Query.Ast.Rel "ra";
+      where =
+        Query.Ast.Cmp
+          (Erm.Predicate.Eq, Query.Ast.Attr "a0", Query.Ast.Scalar value);
+      threshold = Erm.Threshold.always }
+
+let index_probe_q value = index_probe_on (Dst.Value.string value)
+
+(* A probe for the a0 value of [r]'s first tuple, so it finds tuples. *)
+let present_probe r =
+  index_probe_on
+    (Erm.Etuple.definite_value (Erm.Relation.schema r)
+       (List.hd (Erm.Relation.tuples r))
+       "a0")
 
 let queries seed =
   let env = env_of seed in
@@ -44,7 +64,7 @@ let queries seed =
 let pool_indexes_results () =
   List.iter
     (fun domains ->
-      let out = Exec.Pool.run ~domains ~tasks:23 (fun i -> i * i) in
+      let out = Query.Pool.run ~domains ~tasks:23 (fun i -> i * i) in
       Alcotest.(check (array int))
         (Printf.sprintf "task i slot holds f i (domains=%d)" domains)
         (Array.init 23 (fun i -> i * i))
@@ -59,7 +79,7 @@ let pool_lowest_exception_wins () =
         (Failure "task 3")
         (fun () ->
           ignore
-            (Exec.Pool.run ~domains ~tasks:16 (fun i ->
+            (Query.Pool.run ~domains ~tasks:16 (fun i ->
                  if i mod 3 = 0 && i > 0 then
                    failwith (Printf.sprintf "task %d" i)
                  else i))))
@@ -67,12 +87,12 @@ let pool_lowest_exception_wins () =
 
 let pool_edges () =
   Alcotest.(check (array int)) "zero tasks" [||]
-    (Exec.Pool.run ~domains:4 ~tasks:0 (fun i -> i));
+    (Query.Pool.run ~domains:4 ~tasks:0 (fun i -> i));
   Alcotest.(check (array int)) "one task" [| 7 |]
-    (Exec.Pool.run ~domains:4 ~tasks:1 (fun _ -> 7));
+    (Query.Pool.run ~domains:4 ~tasks:1 (fun _ -> 7));
   Alcotest.(check (array int)) "more domains than tasks"
     (Array.init 3 (fun i -> i))
-    (Exec.Pool.run ~domains:16 ~tasks:3 (fun i -> i))
+    (Query.Pool.run ~domains:16 ~tasks:3 (fun i -> i))
 
 (* --- shard ----------------------------------------------------------- *)
 
@@ -80,7 +100,7 @@ let shard_disjoint_cover () =
   let rel = G.relation (R.create 11) ~size:100 Q.schema in
   List.iter
     (fun shards ->
-      let parts = Exec.Shard.by_key ~shards rel in
+      let parts = Query.Shard.by_key ~shards rel in
       Alcotest.(check int)
         (Printf.sprintf "%d shards" shards)
         shards (Array.length parts);
@@ -108,8 +128,8 @@ let shard_deterministic () =
     String.concat "\n---\n" (Array.to_list (Array.map render parts))
   in
   Alcotest.(check string) "same partition on re-run"
-    (show (Exec.Shard.by_key ~shards:5 rel))
-    (show (Exec.Shard.by_key ~shards:5 rel))
+    (show (Query.Shard.by_key ~shards:5 rel))
+    (show (Query.Shard.by_key ~shards:5 rel))
 
 (* --- engine: worker-count and shard-count independence --------------- *)
 
@@ -124,7 +144,7 @@ let results_byte_identical () =
         (fun domains ->
           let sharded =
             P.eval_fast ~ctx:(P.create_ctx ())
-              ~strategy:(strategy 8 domains) env q
+              ~sharded:(sharded 8 domains) env q
           in
           Alcotest.(check string)
             (Printf.sprintf "query %d, 8 shards, %d domains" qi domains)
@@ -167,13 +187,13 @@ let strip_worker_gauge text =
 let metrics_rollup_for ~shards ~domains env qs =
   (* Cold scan cache per rollup, so exec.index.build/reuse counts are a
      function of the batch alone, not of which rollup ran first. *)
-  Exec.Engine.reset_scan_cache ();
+  P.reset_scan_cache ();
   with_virtual_clock (fun () ->
       with_metrics (fun () ->
           let ctx = P.create_ctx () in
           List.iter
             (fun q ->
-              ignore (P.eval_fast ~ctx ~strategy:(strategy shards domains) env q))
+              ignore (P.eval_fast ~ctx ~sharded:(sharded shards domains) env q))
             qs;
           strip_worker_gauge (Obs.Export.metrics_text ())))
 
@@ -181,7 +201,7 @@ let metrics_rollup_for ~shards ~domains env qs =
    order-identical, so every id-free rendering (forest, Chrome export,
    summary) must be byte-equal to the inline run's. *)
 let trace_rollup_for ~shards ~domains env qs =
-  Exec.Engine.reset_scan_cache ();
+  P.reset_scan_cache ();
   with_virtual_clock (fun () ->
       let t = Obs.Trace.default in
       Obs.Trace.enable t;
@@ -194,7 +214,7 @@ let trace_rollup_for ~shards ~domains env qs =
           let ctx = P.create_ctx () in
           List.iter
             (fun q ->
-              ignore (P.eval_fast ~ctx ~strategy:(strategy shards domains) env q))
+              ignore (P.eval_fast ~ctx ~sharded:(sharded shards domains) env q))
             qs;
           Format.asprintf "%a@.%s%s" Obs.Trace.pp_forest
             (Obs.Trace.forest ~from t)
@@ -244,6 +264,53 @@ let qcheck_merged_telemetry =
           && String.equal t_ref (trace_rollup_for ~shards:8 ~domains env qs))
         [ 2; 4; 8 ])
 
+(* The measured tree, one line per node in preorder: operator, detail,
+   row counts and index probes — everything in a report that must not
+   depend on the fan-out (cache counters and times may). *)
+let rec report_shape (r : P.report) =
+  let s = r.P.r_stats in
+  Printf.sprintf "%s [%s] rows=%d/%d pruned=%d idx=%d/%d" r.P.r_op
+    r.P.r_detail s.Query.Stats.rows_in s.Query.Stats.rows_out
+    s.Query.Stats.pruned s.Query.Stats.index_hits s.Query.Stats.index_misses
+  :: List.concat_map report_shape r.P.r_children
+
+let report_tree_invariant () =
+  let env, qs = queries 707 in
+  let probe = present_probe (List.assoc "ra" env) in
+  let equi_join =
+    Query.Ast.Join
+      { left = Query.Ast.Rel "ra";
+        right =
+          Query.Ast.Prefixed { from = Query.Ast.Rel "rb"; prefix = "r_" };
+        on =
+          Query.Ast.Cmp
+            (Erm.Predicate.Eq, Query.Ast.Attr "a0", Query.Ast.Attr "r_a0");
+        threshold = Erm.Threshold.always }
+  in
+  List.iteri
+    (fun qi q ->
+      let plan = P.plan_optimized env q in
+      let measure shards domains =
+        with_virtual_clock (fun () ->
+            snd
+              (P.execute_measured ~ctx:(P.create_ctx ())
+                 ~sharded:(sharded shards domains) env plan))
+      in
+      let reference = report_shape (measure 1 1) in
+      List.iter
+        (fun shards ->
+          let one = measure shards 1 in
+          Alcotest.(check (list string))
+            (Printf.sprintf "query %d, %d shards: same tree and rows" qi shards)
+            reference (report_shape one);
+          Alcotest.(check string)
+            (Printf.sprintf "query %d, %d shards: domains 1 and 4 render alike"
+               qi shards)
+            (Query.Explain.report_to_string one)
+            (Query.Explain.report_to_string (measure shards 4)))
+        [ 1; 3; 8 ])
+    (probe :: equi_join :: qs)
+
 (* Counter families owned by the evidential arithmetic must not depend
    on how many shards the engine used. (exec.* diagnostics and
    histogram float sums are configuration-dependent by design —
@@ -256,7 +323,7 @@ let counters_invariant_across_shard_counts () =
             let ctx = P.create_ctx () in
             List.iter
               (fun q ->
-                ignore (P.eval_fast ~ctx ~strategy:(strategy shards 1) env q))
+                ignore (P.eval_fast ~ctx ~sharded:(sharded shards 1) env q))
               qs;
             List.map
               (fun name -> (name, Obs.Metrics.counter name))
@@ -286,7 +353,7 @@ let lineage_dot_byte_identical () =
         let ctx = P.create_ctx () in
         List.iter
           (fun q ->
-            ignore (P.eval_fast ~ctx ~strategy:(strategy 8 domains) env q))
+            ignore (P.eval_fast ~ctx ~sharded:(sharded 8 domains) env q))
           qs;
         Obs.Export.provenance_dot ())
   in
@@ -300,26 +367,14 @@ let lineage_dot_byte_identical () =
 
 (* --- scan cache: per-shard partitions and indexes -------------------- *)
 
-(* An Index_eq probe over ra's definite attribute: the planner picks the
-   index access path, and the engine serves it from the scan cache. *)
-let index_probe_q value =
-  Query.Ast.Select
-    { cols = None;
-      from = Query.Ast.Rel "ra";
-      where =
-        Query.Ast.Cmp
-          ( Erm.Predicate.Eq,
-            Query.Ast.Attr "a0",
-            Query.Ast.Scalar (Dst.Value.string value) );
-      threshold = Erm.Threshold.always }
 
 let index_reuse_across_queries () =
   let env = env_of 77 in
-  Exec.Engine.reset_scan_cache ();
+  P.reset_scan_cache ();
   with_metrics (fun () ->
       let ctx = P.create_ctx () in
       let run v =
-        ignore (P.eval_fast ~ctx ~strategy:(strategy 4 1) env (index_probe_q v))
+        ignore (P.eval_fast ~ctx ~sharded:(sharded 4 1) env (index_probe_q v))
       in
       run "a0-1";
       Alcotest.(check int) "first probe builds" 1
@@ -332,13 +387,42 @@ let index_reuse_across_queries () =
       Alcotest.(check int) "no rebuild" 1
         (Obs.Metrics.counter "exec.index.build"))
 
+(* The cache is weakly keyed: once nothing else binds a relation, its
+   partitions and indexes go with it. At one shard the entry's partition
+   is the relation itself, so a strong entry would pin it. *)
+let cache_does_not_pin_relations () =
+  P.reset_scan_cache ();
+  let probe_and_forget shards =
+    let ra = G.relation (R.create (80 + shards)) ~size:40 Q.schema in
+    let weak = Weak.create 1 in
+    Weak.set weak 0 (Some ra);
+    ignore
+      (P.eval_fast ~sharded:(sharded shards 1) [ ("ra", ra) ]
+         (index_probe_q "a0-1"));
+    weak
+  in
+  List.iter
+    (fun shards ->
+      let weak = (probe_and_forget [@inlined never]) shards in
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): collected" shards)
+        false (Weak.check weak 0))
+    [ 1; 4 ]
+
+(* Relations are immutable, so the cache needs no store hook: a commit
+   yields a new relation value, and rebinding the name to it must miss
+   the cache, rebuild the per-shard partitions and indexes, and answer
+   from the committed data. *)
 let index_cache_invalidated_by_store_commit () =
   let env = env_of 78 in
-  Exec.Engine.reset_scan_cache ();
+  let ra = List.assoc "ra" env in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "eridb_exec_%d" (Unix.getpid ()))
   in
+  let q = present_probe ra in
+  P.reset_scan_cache ();
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists dir then begin
@@ -350,28 +434,32 @@ let index_cache_invalidated_by_store_commit () =
     (fun () ->
       with_metrics (fun () ->
           let ctx = P.create_ctx () in
-          let run () =
-            ignore
-              (P.eval_fast ~ctx ~strategy:(strategy 4 1) env
-                 (index_probe_q "a0-1"))
-          in
-          run ();
-          run ();
-          let reuse = Obs.Metrics.counter "exec.index.reuse" in
-          Alcotest.(check int) "warm before commit" 1 reuse;
-          (* Any store commit bumps the process-wide store generation;
-             the cache must drop its partitions and rebuild, because the
-             committed relation may be the one being scanned. *)
-          ignore
-            (Store.Estore.create ~dir ~name:"g"
-               (G.relation (R.create 79) ~size:3 Q.schema));
-          run ();
-          Alcotest.(check int) "no reuse right after a commit" reuse
+          let run env = P.eval_fast ~ctx ~sharded:(sharded 4 1) env q in
+          let before = run env in
+          ignore (run env);
+          Alcotest.(check int) "warm before commit" 1
             (Obs.Metrics.counter "exec.index.reuse");
-          Alcotest.(check int) "rebuilt" 2
+          let store = Store.Estore.create ~dir ~name:"ra" ra in
+          ignore
+            (Store.Delta.apply store ~name:"d"
+               (G.reobserve (R.create 79) ra));
+          let env' =
+            ("ra", Store.Estore.relation store) :: List.remove_assoc "ra" env
+          in
+          let after = run env' in
+          Alcotest.(check int) "rebuilt after rebinding" 2
             (Obs.Metrics.counter "exec.index.build");
-          run ();
-          Alcotest.(check int) "warm again" (reuse + 1)
+          Alcotest.(check int) "no reuse across the rebinding" 1
+            (Obs.Metrics.counter "exec.index.reuse");
+          Alcotest.(check bool) "the probe finds tuples" true
+            (Erm.Relation.cardinal after > 0);
+          Alcotest.(check bool) "the commit changed the answer" false
+            (String.equal (render before) (render after));
+          Alcotest.(check string) "= naive evaluation of the committed data"
+            (render (Query.Eval.eval env' q))
+            (render after);
+          ignore (run env');
+          Alcotest.(check int) "warm again" 2
             (Obs.Metrics.counter "exec.index.reuse")))
 
 let () =
@@ -393,6 +481,8 @@ let () =
           Alcotest.test_case "traces byte-identical across worker counts"
             `Quick traces_byte_identical_across_workers;
           QCheck_alcotest.to_alcotest qcheck_merged_telemetry;
+          Alcotest.test_case "report tree shard- and worker-invariant" `Quick
+            report_tree_invariant;
           Alcotest.test_case "dst/cache counters shard-count-invariant"
             `Quick counters_invariant_across_shard_counts;
           Alcotest.test_case "lineage DOT byte-identical across worker counts"
@@ -401,4 +491,6 @@ let () =
         [ Alcotest.test_case "per-shard indexes reused across queries" `Quick
             index_reuse_across_queries;
           Alcotest.test_case "store commit invalidates the cache" `Quick
-            index_cache_invalidated_by_store_commit ] ) ]
+            index_cache_invalidated_by_store_commit;
+          Alcotest.test_case "cache does not pin dropped relations" `Quick
+            cache_does_not_pin_relations ] ) ]
