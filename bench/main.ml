@@ -494,7 +494,7 @@ let federation_fault_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* Join scaling: indexed vs nested loop, sizes 10^2 .. 10^6, plus the  *)
-(* 4-shard executor's worker curve and the flat-vs-map kernel curve    *)
+(* 4-shard executor's worker curve                                      *)
 
 (* Bechamel's quota-driven repetition would take hours on the 10^8-pair
    nested loop, so this sweep uses a plain wall-clock timer: repeat
@@ -513,58 +513,6 @@ let wall_time f =
   go 1
 
 let join_domain_counts = [ 1; 2; 4 ]
-
-(* Flat vs map Dempster kernel: n combinations cycling through 64
-   pre-built operand pairs (distinct pairs, so the per-pair memo cache
-   cannot shortcut the arithmetic). Per-operation cost is flat in n;
-   the sweep shows both regimes from cold (n = 10^2) to steady-state
-   (n = 10^6), where the flat kernel's advantage is pure arithmetic. *)
-let combine_flat_vs_map () =
-  let dom = Workload.Gen.domain ~size:10 "flatbench" in
-  let frng = Workload.Rng.create 777 in
-  let pairs =
-    Array.init 64 (fun _ ->
-        ( Workload.Gen.evidence frng ~focals:6 ~max_focal_size:3 dom,
-          Workload.Gen.evidence frng ~focals:6 ~max_focal_size:3 dom ))
-  in
-  let it = Dst.Interner.create dom in
-  let flat_pairs =
-    Array.map
-      (fun (a, b) -> (Dst.Flat_mass.of_mass it a, Dst.Flat_mass.of_mass it b))
-      pairs
-  in
-  let per_op n f =
-    let batch () =
-      let t0 = Unix.gettimeofday () in
-      for i = 0 to n - 1 do
-        f (i land 63)
-      done;
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-    in
-    ignore (batch ());
-    List.fold_left
-      (fun acc _ -> Float.min acc (batch ()))
-      Float.max_float [ 1; 2; 3 ]
-  in
-  print_endline "combine-scaling (flat packed kernel vs map kernel):";
-  List.map
-    (fun n ->
-      let map_ns =
-        per_op n (fun i ->
-            let a, b = pairs.(i) in
-            ignore (Dst.Mass.F.combine_opt a b))
-      in
-      let flat_ns =
-        per_op n (fun i ->
-            let a, b = flat_pairs.(i) in
-            ignore (Dst.Flat_mass.combine_opt a b))
-      in
-      let speedup = map_ns /. flat_ns in
-      Printf.printf
-        "  n=%-8d map %8.1f ns/op  flat %8.1f ns/op  speedup %5.2fx\n%!" n
-        map_ns flat_ns speedup;
-      (n, map_ns, flat_ns, speedup))
-    [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
 
 let join_scaling () =
   let key_eq =
@@ -603,8 +551,8 @@ let join_scaling () =
               Erm.Ops.join_indexed ~left_attr:"k" ~right_attr:"r_k" a b)
         in
         (* The same equi-join fanned out over 4 shards (growing worker
-           counts) — metrics/tracing are off here, so
-           this measures the parallel flat-kernel configuration. *)
+           counts) — metrics/tracing are off here, so this measures the
+           bare parallel configuration. *)
         let env = [ ("ja", a); ("jb", b) ] in
         let sharded_ns =
           List.map
@@ -630,7 +578,6 @@ let join_scaling () =
         (size, nested_ns, indexed_ns, speedup, sharded_ns))
       [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
   in
-  let kernel_rows = combine_flat_vs_map () in
   (* Per-operator spans for a representative physical-plan execution of
      the same equi-join at n = 1000 (hash join + two scans). *)
   let spans =
@@ -661,9 +608,6 @@ let join_scaling () =
     \  \"join_scaling\": [\n\
      %s\n\
     \  ],\n\
-    \  \"combine_flat_vs_map\": [\n\
-     %s\n\
-    \  ],\n\
     \  \"spans\": [\n\
      %s\n\
     \  ]\n\
@@ -682,14 +626,6 @@ let join_scaling () =
                         "{ \"shards\": 4, \"domains\": %d, \"ns\": %.0f }" d ns)
                     sharded_ns)))
           rows))
-    (String.concat ",\n"
-       (List.map
-          (fun (n, map_ns, flat_ns, speedup) ->
-            Printf.sprintf
-              "    { \"n\": %d, \"map_ns\": %.1f, \"flat_ns\": %.1f, \
-               \"speedup\": %.2f }"
-              n map_ns flat_ns speedup)
-          kernel_rows))
     (spans_json spans);
   close_out oc;
   print_endline "  wrote BENCH_join.json\n"

@@ -165,7 +165,7 @@ let s001 (s : Checkdef.store_subject) =
     s.Checkdef.relations
 
 (* ------------------------------------------------------------------ *)
-(* S002 — dormant domain values (flat-mass Bel/Pls over every tuple)   *)
+(* S002 — dormant domain values (Bel/Pls over every stored tuple)     *)
 
 let s002 (s : Checkdef.store_subject) =
   let eps = s.Checkdef.thresholds.Checkdef.dormant_pls in
@@ -180,7 +180,6 @@ let s002 (s : Checkdef.store_subject) =
             | None -> []
             | Some domain ->
                 let aname = Erm.Attr.name attr in
-                let interner = Dst.Interner.create domain in
                 (* A value stays a dormancy candidate while every cell
                    seen so far keeps Bel = 0 and Pls <= eps. *)
                 let candidates =
@@ -192,13 +191,12 @@ let s002 (s : Checkdef.store_subject) =
                       match Erm.Etuple.cell schema t aname with
                       | Erm.Etuple.Definite _ -> candidates := []
                       | Erm.Etuple.Evidence e ->
-                          let fm = Dst.Flat_mass.of_mass interner e in
                           candidates :=
                             List.filter
                               (fun v ->
                                 let sv = Dst.Vset.singleton v in
-                                Dst.Flat_mass.bel fm sv = 0.0
-                                && Dst.Flat_mass.pls fm sv <= eps)
+                                Dst.Mass.F.bel e sv = 0.0
+                                && Dst.Mass.F.pls e sv <= eps)
                               !candidates)
                   r;
                 List.map

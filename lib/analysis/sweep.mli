@@ -8,7 +8,7 @@
 
     - {b S001} dangling cross-relation key references;
     - {b S002} dormant domain values ([Bel = 0] ∧ [Pls ≤ ε] in every
-      stored tuple, computed on the {!Dst.Flat_mass} kernels);
+      stored tuple);
     - {b S003} CWA_ER violations in stored tuples;
     - {b S004} per-source disagreement from the
       [dst.combine.kappa_by_source.*] rollups;

@@ -24,12 +24,8 @@
 
 type t
 
-val create : ?kernel:Mass.F.kernel -> unit -> t
-(** [kernel] is the per-rule combination run on a miss (default
-    {!Mass.F.combine_rule_opt}). Fanned-out execution passes
-    {!Flat_mass.kernel} here; because the flat kernels are bit-exact
-    against the map kernels, the choice is unobservable in results and
-    in hit/miss behavior — only in speed. *)
+val create : unit -> t
+(** An empty cache. A miss runs {!Mass.F.combine_policy}. *)
 
 val combine_policy :
   ?policy:Rule.policy -> t -> Mass.F.t -> Mass.F.t -> Mass.F.outcome

@@ -12,8 +12,6 @@ module type S = sig
     | Quarantined of { kappa : num }
     | Conflicted
 
-  type kernel = rule:Rule.t -> prov:(string * string) list -> t -> t -> (t * num) option
-
   val make : Domain.t -> (Vset.t * num) list -> t
   val make_normalized : Domain.t -> (Vset.t * num) list -> t
   val vacuous : Domain.t -> t
@@ -41,8 +39,6 @@ module type S = sig
   val combine_opt : t -> t -> (t * num) option
   val combine_rule_opt :
     ?rule:Rule.t -> ?prov:(string * string) list -> t -> t -> (t * num) option
-  val combine_policy_with :
-    kernel:kernel -> ?policy:Rule.policy -> t -> t -> outcome
   val combine_policy : ?policy:Rule.policy -> t -> t -> outcome
   val combine_policy_exn : ?policy:Rule.policy -> t -> t -> t
   val relink : ?policy:Rule.policy -> t -> t -> outcome -> unit
@@ -79,9 +75,6 @@ module Make (N : Num.S) : S with type num = N.t = struct
     | Combined of { result : t; kappa : num; rule : Rule.t; escalated : bool }
     | Quarantined of { kappa : num }
     | Conflicted
-
-  type kernel =
-    rule:Rule.t -> prov:(string * string) list -> t -> t -> (t * num) option
 
   let num_lt a b = N.compare a b < 0
   let num_gt a b = N.compare a b > 0
@@ -254,14 +247,22 @@ module Make (N : Num.S) : S with type num = N.t = struct
       raise (Frame_mismatch (m1.frame, m2.frame))
 
   (* Conjunctive cross product: feed every pair (X ∩ Y, m1(X)·m2(Y)) to
-     [emit]; pairs with empty intersection go to [emit_conflict]. *)
+     [emit]; pairs with empty intersection go to [emit_conflict]. When
+     one focal set contains the other, the intersection IS the smaller
+     operand set, and passing that set on (rather than [Vset.inter]'s
+     fresh copy) lets combined results share focal-set values with
+     their operands instead of holding a new tree per cell. *)
   let cross m1 m2 ~emit ~emit_conflict =
     Vmap.iter
       (fun x mx ->
         Vmap.iter
           (fun y my ->
             let product = N.mul mx my in
-            let z = Vset.inter x y in
+            let z =
+              if Vset.subset x y then x
+              else if Vset.subset y x then y
+              else Vset.inter x y
+            in
             if Vset.is_empty z then emit_conflict x y product
             else emit z product)
           m2.focals)
@@ -325,8 +326,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
       ~emit_conflict:(fun _ _ p -> kappa := N.add !kappa p);
     note_call !kappa;
     (* Exact zero test, not the tolerance of [N.equal]: any conflict
-       mass at all moves to Ω (keeping Σm = 1 exactly), and the flat
-       kernel's [κ <> 0.0] test agrees bit for bit. *)
+       mass at all moves to Ω (keeping Σm = 1 exactly). *)
     if N.compare !kappa N.zero <> 0 then
       accumulate table (Domain.values m1.frame) !kappa;
     ({ frame = m1.frame; focals = !table }, !kappa)
@@ -467,7 +467,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
            :: [ ("kappa0", Printf.sprintf "%g" e.Rule.kappa0) ])
          ~inputs:[ i1; i2 ])
 
-  let combine_policy_with ~(kernel : kernel) ?policy m1 m2 =
+  let combine_policy ?policy m1 m2 =
     let policy =
       match policy with Some p -> p | None -> Rule.current ()
     in
@@ -477,7 +477,9 @@ module Make (N : Num.S) : S with type num = N.t = struct
       | None -> Conflicted
     in
     match policy.Rule.escalation with
-    | None -> finish ~escalated:false primary (kernel ~rule:primary ~prov:[] m1 m2)
+    | None ->
+        finish ~escalated:false primary
+          (combine_rule_opt ~rule:primary m1 m2)
     | Some e ->
         (* The threshold tests the operands' conjunctive conflict — the
            same κ Dempster would normalize away — regardless of which
@@ -486,7 +488,7 @@ module Make (N : Num.S) : S with type num = N.t = struct
         let kappa = conflict m1 m2 in
         if N.to_float kappa < e.Rule.kappa0 then
           finish ~escalated:false primary
-            (kernel ~rule:primary ~prov:[] m1 m2)
+            (combine_rule_opt ~rule:primary m1 m2)
         else begin
           if Obs.Metrics.on () then
             Obs.Metrics.incr "dst.combine.escalations";
@@ -510,12 +512,9 @@ module Make (N : Num.S) : S with type num = N.t = struct
               Quarantined { kappa }
           | Rule.Fallback fb ->
               finish ~escalated:true fb
-                (kernel ~rule:fb ~prov:(escalation_prov primary e) m1 m2)
+                (combine_rule_opt ~rule:fb
+                   ~prov:(escalation_prov primary e) m1 m2)
         end
-
-  let default_kernel ~rule ~prov m1 m2 = combine_rule_opt ~rule ~prov m1 m2
-  let combine_policy ?policy m1 m2 =
-    combine_policy_with ~kernel:default_kernel ?policy m1 m2
 
   let combine_policy_exn ?policy m1 m2 =
     match combine_policy ?policy m1 m2 with

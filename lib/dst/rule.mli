@@ -12,10 +12,9 @@
     fallback rule or quarantine the merge with a typed outcome.
 
     A policy is honored end-to-end: {!Mass.S.combine_policy},
-    {!Combine_cache} (the policy is part of the cache key),
-    {!Flat_mass} (per-rule flat kernels, bit-exact against the map
-    kernels), the merge paths of [Erm.Ops] and [Integration], the
-    sharded execution engine, and the CLI/REPL surfaces. *)
+    {!Combine_cache} (the policy is part of the cache key), the merge
+    paths of [Erm.Ops] and [Integration], the sharded execution engine,
+    and the CLI/REPL surfaces. *)
 
 type t =
   | Dempster  (** Conjunctive consensus, conflict normalized away. *)
@@ -99,8 +98,8 @@ val all : t list
 
     Every combination seam ([Erm.Ops] merges, the combine cache, the
     integration folds) defaults to this process-global policy, so a
-    surface sets it once and naive, physical, sharded and flat
-    execution all honor it. Set it before evaluation starts; worker
+    surface sets it once and naive, physical and sharded execution all
+    honor it. Set it before evaluation starts; worker
     domains only read it. *)
 
 val current : unit -> policy

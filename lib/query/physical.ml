@@ -235,23 +235,6 @@ let cache ctx = ctx.cache
 
 type sharded = { shards : int; domains : int }
 
-(* A per-shard Dempster cache backed by the flat-representation kernel,
-   with its own interner table per frame (interners are
-   single-threaded). *)
-let flat_cache () =
-  let tables = ref [] in
-  let resolve frame =
-    match
-      List.find_opt (fun (f, _) -> Dst.Domain.equal f frame) !tables
-    with
-    | Some (_, it) -> it
-    | None ->
-        let it = Dst.Interner.create frame in
-        tables := (frame, it) :: !tables;
-        it
-  in
-  Dst.Combine_cache.create ~kernel:(Dst.Flat_mass.kernel resolve) ()
-
 (* ------------------------------------------------------------------ *)
 (* Partition and index cache                                           *)
 
@@ -364,11 +347,11 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
   end;
   (* One Dempster cache per shard. A single shard uses the context's
      memo cache, which stays warm across queries; several shards get a
-     fresh flat-kernel cache each per execute, at every worker count, so
+     fresh cache each per execute, at every worker count, so
      combine_cache.* counters cannot depend on [domains]. *)
   let caches =
     if shards = 1 then [| ctx.cache |]
-    else Array.init shards (fun _ -> flat_cache ())
+    else Array.init shards (fun _ -> Dst.Combine_cache.create ())
   in
   let event kind op fields msg =
     if Obs.Log.on () then

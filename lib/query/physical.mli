@@ -138,8 +138,8 @@ val execute_measured :
     [sharded] (which counters are summed per shard: see {!Stats}).
 
     Caches: with one shard, unions combine through the context's
-    memo-cache; with several, each shard gets a fresh flat-kernel cache
-    ({!Dst.Flat_mass}) per call, at every worker count.
+    memo-cache; with several, each shard gets a fresh
+    {!Dst.Combine_cache} per call, at every worker count.
 
     Telemetry: every operator emits a [query.physical] span and
     [physical.<op>.*] metrics. Only a real fan-out ([shards > 1]) adds

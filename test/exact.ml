@@ -1,0 +1,41 @@
+(* Bit-exact relation equality, shared by the conformance, store and
+   executor suites. Stricter than Erm.Relation.equal: supports and
+   masses are compared with Float.equal, not a tolerance, so a
+   reordering of Dempster combinations that moves even the last ulp is
+   a difference. *)
+
+let support s1 s2 =
+  Float.equal (Dst.Support.sn s1) (Dst.Support.sn s2)
+  && Float.equal (Dst.Support.sp s1) (Dst.Support.sp s2)
+
+let evidence e1 e2 =
+  let f1 = Dst.Mass.F.focals e1 and f2 = Dst.Mass.F.focals e2 in
+  List.length f1 = List.length f2
+  && List.for_all2
+       (fun (set1, m1) (set2, m2) ->
+         Dst.Vset.equal set1 set2 && Float.equal m1 m2)
+       f1 f2
+
+let cell c1 c2 =
+  match (c1, c2) with
+  | Erm.Etuple.Definite v1, Erm.Etuple.Definite v2 ->
+      Dst.Value.compare v1 v2 = 0
+  | Erm.Etuple.Evidence e1, Erm.Etuple.Evidence e2 -> evidence e1 e2
+  | Erm.Etuple.Definite _, Erm.Etuple.Evidence _
+  | Erm.Etuple.Evidence _, Erm.Etuple.Definite _ ->
+      false
+
+let tuple t1 t2 =
+  List.compare Dst.Value.compare (Erm.Etuple.key t1) (Erm.Etuple.key t2) = 0
+  && List.length (Erm.Etuple.cells t1) = List.length (Erm.Etuple.cells t2)
+  && List.for_all2 cell (Erm.Etuple.cells t1) (Erm.Etuple.cells t2)
+  && support (Erm.Etuple.tm t1) (Erm.Etuple.tm t2)
+
+let rel_equal r1 r2 =
+  Erm.Relation.cardinal r1 = Erm.Relation.cardinal r2
+  && List.for_all
+       (fun t1 ->
+         match Erm.Relation.find_opt r2 (Erm.Etuple.key t1) with
+         | Some t2 -> tuple t1 t2
+         | None -> false)
+       (Erm.Relation.tuples r1)

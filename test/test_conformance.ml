@@ -9,8 +9,8 @@
    - the same executor fanned out (Query.Physical ~sharded), for
      every tested shard count × worker (domain) count, including
      with tracing or provenance recording live — partitioning and
-     parallelism must have no representational effect either (the
-     per-shard fast paths run Dst.Flat_mass kernels);
+     parallelism must have no representational effect either (each
+     shard combines through its own fresh Dst.Combine_cache);
    - the single-source integration surface (Integration.Multi), which
      must be the identity on any query result;
    - the persistent store's delta path (Store.Estore + Store.Delta):
@@ -20,8 +20,8 @@
      over all sources — persistence, incremental absorption and crash
      recovery together must have no representational effect.
 
-   Equality here is stricter than Erm.Relation.equal: supports and
-   masses are compared with Float.equal, not a tolerance. A double IS a
+   Equality ({!Exact.rel_equal}) is stricter than Erm.Relation.equal:
+   supports and masses are compared with Float.equal. A double IS a
    dyadic rational, so bit-exact float comparison is exact-rational
    comparison of the values both pipelines actually computed — any
    reordering of Dempster combinations that changes even the last ulp
@@ -33,7 +33,6 @@
 module R = Workload.Rng
 module Q = Workload.Qgen
 module G = Workload.Gen
-module S = Dst.Support
 
 let count = 250
 
@@ -41,43 +40,6 @@ let prop name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb law)
 
 let seed_arb = QCheck.int_range 0 1_000_000
-
-(* --- exact relation equality ----------------------------------------- *)
-
-let exact_support s1 s2 =
-  Float.equal (S.sn s1) (S.sn s2) && Float.equal (S.sp s1) (S.sp s2)
-
-let exact_evidence e1 e2 =
-  let f1 = Dst.Mass.F.focals e1 and f2 = Dst.Mass.F.focals e2 in
-  List.length f1 = List.length f2
-  && List.for_all2
-       (fun (set1, m1) (set2, m2) ->
-         Dst.Vset.equal set1 set2 && Float.equal m1 m2)
-       f1 f2
-
-let exact_cell c1 c2 =
-  match (c1, c2) with
-  | Erm.Etuple.Definite v1, Erm.Etuple.Definite v2 ->
-      Dst.Value.compare v1 v2 = 0
-  | Erm.Etuple.Evidence e1, Erm.Etuple.Evidence e2 -> exact_evidence e1 e2
-  | Erm.Etuple.Definite _, Erm.Etuple.Evidence _
-  | Erm.Etuple.Evidence _, Erm.Etuple.Definite _ ->
-      false
-
-let exact_tuple t1 t2 =
-  List.compare Dst.Value.compare (Erm.Etuple.key t1) (Erm.Etuple.key t2) = 0
-  && List.length (Erm.Etuple.cells t1) = List.length (Erm.Etuple.cells t2)
-  && List.for_all2 exact_cell (Erm.Etuple.cells t1) (Erm.Etuple.cells t2)
-  && exact_support (Erm.Etuple.tm t1) (Erm.Etuple.tm t2)
-
-let exact_rel_equal r1 r2 =
-  Erm.Relation.cardinal r1 = Erm.Relation.cardinal r2
-  && List.for_all
-       (fun t1 ->
-         match Erm.Relation.find_opt r2 (Erm.Etuple.key t1) with
-         | Some t2 -> exact_tuple t1 t2
-         | None -> false)
-       (Erm.Relation.tuples r1)
 
 (* --- shared fixtures ------------------------------------------------- *)
 
@@ -199,7 +161,7 @@ let store_case s =
 let conformance_props =
   [ prop "physical = naive (exact tuples, exact supports)" seed_arb (fun s ->
         let env, q = make_case s in
-        exact_rel_equal
+        Exact.rel_equal
           (Query.Eval.eval env q)
           (Query.Physical.eval_fast ~ctx env q));
     prop "tracing never changes a physical result" seed_arb (fun s ->
@@ -208,7 +170,7 @@ let conformance_props =
         let traced =
           with_default_tracing (fun () -> Query.Physical.eval_fast ~ctx env q)
         in
-        exact_rel_equal plain traced);
+        Exact.rel_equal plain traced);
     prop "traced physical = naive (no observer effect vs reference)"
       seed_arb
       (fun s ->
@@ -217,7 +179,7 @@ let conformance_props =
         let traced =
           with_default_tracing (fun () -> Query.Physical.eval_fast ~ctx env q)
         in
-        exact_rel_equal naive traced);
+        Exact.rel_equal naive traced);
     prop "provenance never changes a physical result" seed_arb (fun s ->
         let env, q = make_case s in
         let plain = Query.Physical.eval_fast ~ctx env q in
@@ -225,7 +187,7 @@ let conformance_props =
           with_default_provenance (fun () ->
             Query.Physical.eval_fast ~ctx env q)
         in
-        exact_rel_equal plain recorded);
+        Exact.rel_equal plain recorded);
     prop "provenance-on physical = naive (no observer effect vs reference)"
       seed_arb
       (fun s ->
@@ -235,24 +197,24 @@ let conformance_props =
           with_default_provenance (fun () ->
             Query.Physical.eval_fast ~ctx env q)
         in
-        exact_rel_equal naive recorded);
+        Exact.rel_equal naive recorded);
     prop "sharded = naive for every shard count x domain count" seed_arb
       (fun s ->
         let env, q = make_case s in
         let naive = Query.Eval.eval env q in
-        sharded_grid ~ctx env q (exact_rel_equal naive));
+        sharded_grid ~ctx env q (Exact.rel_equal naive));
     prop "sharded under tracing = naive (no observer effect)" seed_arb
       (fun s ->
         let env, q = make_case s in
         let naive = Query.Eval.eval env q in
         with_default_tracing (fun () ->
-            sharded_grid ~ctx env q (exact_rel_equal naive)));
+            sharded_grid ~ctx env q (Exact.rel_equal naive)));
     prop "sharded under provenance = naive (no observer effect)" seed_arb
       (fun s ->
         let env, q = make_case s in
         let naive = Query.Eval.eval env q in
         with_default_provenance (fun () ->
-            sharded_grid ~ctx env q (exact_rel_equal naive)));
+            sharded_grid ~ctx env q (Exact.rel_equal naive)));
     prop "single-source integration is the identity on query results"
       seed_arb
       (fun s ->
@@ -262,18 +224,18 @@ let conformance_props =
           Integration.Multi.integrate
             [ { Integration.Multi.source_name = "only"; source_relation = r } ]
         in
-        exact_rel_equal r report.Integration.Multi.integrated);
+        Exact.rel_equal r report.Integration.Multi.integrated);
     prop "store delta + recovery = integrate (sharded grid)" seed_arb
       (fun s ->
         let r1, d, sources = store_case s in
         let stored = with_temp_dir (fun dir -> via_store dir r1 d) in
-        exact_rel_equal stored
+        Exact.rel_equal stored
           (Integration.Multi.integrate sources).Integration.Multi.integrated
         && List.for_all
              (fun shards ->
                List.for_all
                  (fun domains ->
-                   exact_rel_equal stored
+                   Exact.rel_equal stored
                      (Exec.Engine.integrate
                         { Query.Physical.shards; domains }
                         sources)
@@ -291,15 +253,14 @@ let conformance_props =
           with_default_provenance (fun () ->
               with_temp_dir (fun dir -> via_store dir r1 d))
         in
-        exact_rel_equal plain stored) ]
+        Exact.rel_equal plain stored) ]
 
 (* --- leg 7: rule-parameterized conformance --------------------------- *)
 
 (* The combination rule is a session-global strategy: under EVERY rule
    (and under an escalation policy) naive, physical and sharded
    execution must still agree bit-exactly, shard count x domain count
-   across the same grid. The fast paths dispatch to per-rule flat
-   kernels, so this leg is what licenses them. *)
+   across the same grid. *)
 
 let rule_policies =
   List.map Dst.Rule.make
@@ -324,8 +285,8 @@ let rule_props =
           (fun policy ->
             Dst.Rule.with_policy policy (fun () ->
                 let naive = Query.Eval.eval env q in
-                exact_rel_equal naive (Query.Physical.eval_fast ~ctx env q)
-                && sharded_grid ~ctx env q (exact_rel_equal naive)))
+                Exact.rel_equal naive (Query.Physical.eval_fast ~ctx env q)
+                && sharded_grid ~ctx env q (Exact.rel_equal naive)))
           rule_policies);
     rule_prop "every rule: sharded integrate = naive integrate (grid)"
       (fun s ->
@@ -341,7 +302,7 @@ let rule_props =
                   (fun shards ->
                     List.for_all
                       (fun domains ->
-                        exact_rel_equal naive
+                        Exact.rel_equal naive
                           (Exec.Engine.integrate
                              { Query.Physical.shards; domains }
                              sources)

@@ -444,6 +444,36 @@ let metamorphic_props =
           (fun (s1, x1) (s2, x2) -> Vs.equal s1 s2 && Float.equal x1 x2)
           (M.focals plain) (M.focals observed)) ]
 
+(* --- Mass: focal-set sharing in combination ------------------------ *)
+
+(* When one operand focal set contains the other, their intersection is
+   the smaller set itself: the conjunctive kernels must put that very
+   value (physically equal, not a fresh copy) in the result, so merged
+   cells share their focal sets with their operands. Every pair here is
+   nested, so every result focal has an operand twin. *)
+let test_nested_focals_shared () =
+  let omega = D.values colors in
+  let m1 = M.make colors [ (red_green, 0.6); (omega, 0.4) ] in
+  let m2 = M.make colors [ (red, 0.7); (omega, 0.3) ] in
+  let operand_sets = List.map fst (M.focals m1 @ M.focals m2) in
+  List.iter
+    (fun rule ->
+      match M.combine_rule_opt ~rule m1 m2 with
+      | None -> Alcotest.fail "nested focals cannot totally conflict"
+      | Some (m, _) ->
+          Alcotest.(check int)
+            (Dst.Rule.to_string rule ^ ": three focals")
+            3 (M.focal_count m);
+          List.iter
+            (fun (z, _) ->
+              Alcotest.(check bool)
+                (Format.asprintf "%s: %a is an operand's set"
+                   (Dst.Rule.to_string rule) Vs.pp z)
+                true
+                (List.exists (fun s -> s == z) operand_sets))
+            (M.focals m))
+    [ Dst.Rule.Dempster; Dst.Rule.Yager; Dst.Rule.Dubois_prade ]
+
 let () =
   Alcotest.run "dst"
     [ ( "value",
@@ -472,6 +502,9 @@ let () =
           Alcotest.test_case "interval invariant" `Quick
             test_interval_invariant;
           Alcotest.test_case "consonance" `Quick test_consonant ] );
+      ( "mass-combine",
+        [ Alcotest.test_case "nested focal sets are shared" `Quick
+            test_nested_focals_shared ] );
       ( "mass-transform",
         [ Alcotest.test_case "pignistic" `Quick test_pignistic;
           Alcotest.test_case "discount" `Quick test_discount;

@@ -6,7 +6,8 @@
      count here must pass there);
    - Shard: partitions are deterministic disjoint covers;
    - Physical ~sharded: for a fixed query and seed, the rendered result
-     is byte-identical for every worker count; metrics rollups (under a
+     is byte-identical for every worker count (and, over frames above
+     62 values, bit-identical to Query.Eval); metrics rollups (under a
      virtual clock) and the lineage DOT export are byte-identical too;
      the measured report tree keeps its shape and row counts at every
      shard and worker count; and the dst.*/combine_cache.* counter
@@ -135,6 +136,13 @@ let shard_deterministic () =
 
 let worker_counts = [ 1; 2; 4; 8 ]
 
+(* Evidential frames above 62 values, so shard-invariance is not only
+   shown on the small frames Qgen draws. *)
+let wide_env () =
+  let schema = G.schema ~domain_size:70 "wide" in
+  let ra, rb = G.source_pair (R.create 909) ~size:40 ~overlap:0.5 schema in
+  [ ("ra", ra); ("rb", rb) ]
+
 let results_byte_identical () =
   let env, qs = queries 101 in
   List.iteri
@@ -150,7 +158,18 @@ let results_byte_identical () =
             (Printf.sprintf "query %d, 8 shards, %d domains" qi domains)
             (render reference) (render sharded))
         worker_counts)
-    qs
+    qs;
+  let env = wide_env () in
+  let naive = Query.Eval.eval env union_q in
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "70-value frames, 8 shards, %d domains: = Eval" domains)
+        true
+        (Exact.rel_equal naive
+           (P.eval_fast ~ctx:(P.create_ctx ())
+              ~sharded:(sharded 8 domains) env union_q)))
+    worker_counts
 
 let with_metrics f =
   Obs.Metrics.reset ();

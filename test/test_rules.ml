@@ -10,10 +10,8 @@
      above must not, κ₀ = 0 always fires, and both fallback shapes
      (rule switch vs quarantine) produce the advertised outcome and
      counters;
-   - bit-exactness of every flat kernel against its map kernel over the
-     adversarial scenario corpus (Zadeh, near-total, one-against-many,
-     dissenter) — the same contract test_flat_mass.ml enforces for
-     Dempster, extended to all rule families.
+   - the adversarial scenario corpus (Zadeh, near-total,
+     one-against-many, dissenter) has the shape it advertises.
 
    Seeds: qcheck honours QCHECK_SEED, which CI pins. *)
 
@@ -21,7 +19,6 @@ module R = Workload.Rng
 module G = Workload.Gen
 module Sc = Workload.Scenario
 module F = Dst.Mass.F
-module Fm = Dst.Flat_mass
 module Rule = Dst.Rule
 
 let count = 200
@@ -41,12 +38,6 @@ let rules =
 let mass_pair ?omega_floor seed =
   let rng = R.create seed in
   (G.evidence rng ?omega_floor dom, G.evidence rng ?omega_floor dom)
-
-let exact_opt o1 o2 =
-  match (o1, o2) with
-  | None, None -> true
-  | Some (m, k), Some (m', k') -> F.compare m m' = 0 && Float.equal k k'
-  | Some _, None | None, Some _ -> false
 
 let close a b = Float.abs (a -. b) < 1e-9
 
@@ -352,42 +343,9 @@ let many_suite =
             close w mean)
           (F.focals m)) ]
 
-(* --- Flat kernels, bit-exact per rule over the adversarial corpus ---- *)
+(* --- The adversarial scenario corpus ---------------------------------- *)
 
 let corpus_dom = G.domain ~size:8 "rules-corpus"
-
-let flat_kernel =
-  let it = Dst.Interner.create corpus_dom in
-  Fm.kernel (fun _frame -> it)
-
-let corpus_pairs =
-  (* All adjacent pairs of every scenario group: 20 groups x pairs. *)
-  List.concat_map
-    (fun (_kind, group) ->
-      let rec adj = function
-        | m1 :: (m2 :: _ as rest) -> (m1, m2) :: adj rest
-        | _ -> []
-      in
-      adj group)
-    (Sc.corpus ~seed:424242 corpus_dom)
-
-let conformance_suite =
-  List.map
-    (fun rule ->
-      Alcotest.test_case
-        (Printf.sprintf "flat %s kernel = map kernel over the corpus"
-           (Rule.to_string rule))
-        `Quick
-        (fun () ->
-          List.iteri
-            (fun i (m1, m2) ->
-              let map_r = F.combine_rule_opt ~rule m1 m2 in
-              let flat_r = flat_kernel ~rule ~prov:[] m1 m2 in
-              Alcotest.(check bool)
-                (Printf.sprintf "pair %d bit-exact" i)
-                true (exact_opt map_r flat_r))
-            corpus_pairs))
-    rules
 
 let corpus_shape =
   [ Alcotest.test_case "corpus covers all four scenario kinds" `Quick
@@ -497,6 +455,5 @@ let () =
       ("kappa0-degeneracy", degeneracy_suite);
       ("escalation", escalation_suite);
       ("combine-many", many_suite);
-      ("flat-conformance", conformance_suite);
       ("corpus", corpus_shape);
       ("parsing", parsing_suite) ]

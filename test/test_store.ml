@@ -21,45 +21,7 @@
 
 module R = Workload.Rng
 module G = Workload.Gen
-module S = Dst.Support
 module Rec = Store.Recovery
-
-(* --- exact relation equality (same discipline as test_conformance) --- *)
-
-let exact_support s1 s2 =
-  Float.equal (S.sn s1) (S.sn s2) && Float.equal (S.sp s1) (S.sp s2)
-
-let exact_evidence e1 e2 =
-  let f1 = Dst.Mass.F.focals e1 and f2 = Dst.Mass.F.focals e2 in
-  List.length f1 = List.length f2
-  && List.for_all2
-       (fun (set1, m1) (set2, m2) ->
-         Dst.Vset.equal set1 set2 && Float.equal m1 m2)
-       f1 f2
-
-let exact_cell c1 c2 =
-  match (c1, c2) with
-  | Erm.Etuple.Definite v1, Erm.Etuple.Definite v2 ->
-      Dst.Value.compare v1 v2 = 0
-  | Erm.Etuple.Evidence e1, Erm.Etuple.Evidence e2 -> exact_evidence e1 e2
-  | Erm.Etuple.Definite _, Erm.Etuple.Evidence _
-  | Erm.Etuple.Evidence _, Erm.Etuple.Definite _ ->
-      false
-
-let exact_tuple t1 t2 =
-  List.compare Dst.Value.compare (Erm.Etuple.key t1) (Erm.Etuple.key t2) = 0
-  && List.length (Erm.Etuple.cells t1) = List.length (Erm.Etuple.cells t2)
-  && List.for_all2 exact_cell (Erm.Etuple.cells t1) (Erm.Etuple.cells t2)
-  && exact_support (Erm.Etuple.tm t1) (Erm.Etuple.tm t2)
-
-let exact_rel_equal r1 r2 =
-  Erm.Relation.cardinal r1 = Erm.Relation.cardinal r2
-  && List.for_all
-       (fun t1 ->
-         match Erm.Relation.find_opt r2 (Erm.Etuple.key t1) with
-         | Some t2 -> exact_tuple t1 t2
-         | None -> false)
-       (Erm.Relation.tuples r1)
 
 (* --- fixtures --------------------------------------------------------- *)
 
@@ -146,7 +108,7 @@ let check_recovers ?(events = 0) name dir ~version ~expect =
       Alcotest.(check bool)
         (name ^ ": relation bit-exact")
         true
-        (exact_rel_equal expect (Store.Estore.relation t));
+        (Exact.rel_equal expect (Store.Estore.relation t));
       Alcotest.(check bool)
         (name ^ ": opens counted")
         true
@@ -180,7 +142,7 @@ let test_delta_equals_full_rebuild () =
       in
       Alcotest.(check bool)
         "delta fold = full rebuild (bit-exact)" true
-        (exact_rel_equal full o.Store.Delta.relation);
+        (Exact.rel_equal full o.Store.Delta.relation);
       check_recovers "delta reopen" dir ~version:o.Store.Delta.version
         ~expect:full)
 
@@ -320,7 +282,7 @@ let test_tail_garbage_truncated () =
             (counter "store.recovery.truncated_tails" >= 1);
           Alcotest.(check bool)
             "relation intact" true
-            (exact_rel_equal r (Store.Estore.relation t))))
+            (Exact.rel_equal r (Store.Estore.relation t))))
 
 let test_truncation_into_committed_prefix () =
   with_temp_dir (fun dir ->
@@ -357,7 +319,7 @@ let test_manifest_corruption_falls_back () =
             (counter "store.recovery.manifest_fallback" >= 1);
           Alcotest.(check bool)
             "v1 relation bit-exact" true
-            (exact_rel_equal r1 (Store.Estore.relation t2))))
+            (Exact.rel_equal r1 (Store.Estore.relation t2))))
 
 let test_version_skew_never_falls_back () =
   with_temp_dir (fun dir ->
@@ -465,7 +427,7 @@ let fuzz_props =
                 (* Prefix consistency: whatever survives must be some
                    version that was actually committed, bit for bit. *)
                 match List.assoc_opt (Store.Estore.version t) hist with
-                | Some r -> exact_rel_equal r (Store.Estore.relation t)
+                | Some r -> Exact.rel_equal r (Store.Estore.relation t)
                 | None -> false)
             | `Err _ -> true
             | `Fault _ -> false));
@@ -500,7 +462,7 @@ let fuzz_props =
                      source_relation = d2 } ])
                 .Integration.Multi.integrated
             in
-            exact_rel_equal full o.Store.Delta.relation)) ]
+            Exact.rel_equal full o.Store.Delta.relation)) ]
 
 let () =
   Random.self_init ();
