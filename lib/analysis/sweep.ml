@@ -469,8 +469,7 @@ let checks =
       ~description:
         "Declared domain values with Bel = 0 and Pls below the dormancy \
          threshold in every stored tuple of an attribute — evidence the \
-         merged store has effectively ruled out everywhere (flat-mass \
-         kernels)."
+         merged store has effectively ruled out everywhere."
       s002;
     store_check ~code:"S003" ~name:"CWA_Store_Violation"
       ~priority:Checkdef.Blocker

@@ -3,7 +3,8 @@ type t = Mass.F.t
 exception Parse_error of string * string
 
 (* ------------------------------------------------------------------ *)
-(* Lexer for the paper's evidence-set notation.                        *)
+(* Lexer for the paper's evidence-set notation. The parser pulls one  *)
+(* token at a time from a cursor, so no token list is built.          *)
 
 type token =
   | Lbracket
@@ -15,54 +16,59 @@ type token =
   | Caret
   | Omega
   | Lit of string
+  | Eof
 
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-let lex input =
+(* Characters that end an unquoted literal. *)
+let ends_literal c =
+  is_space c
+  || match c with '[' | ']' | '{' | '}' | ';' | ',' | '^' -> true | _ -> false
+
+(* The token at or after [!pos]; moves [pos] past it. *)
+let next input pos =
   let n = String.length input in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      let c = input.[i] in
-      if is_space c then go (i + 1) acc
-      else
-        match c with
-        | '[' -> go (i + 1) (Lbracket :: acc)
-        | ']' -> go (i + 1) (Rbracket :: acc)
-        | '{' -> go (i + 1) (Lbrace :: acc)
-        | '}' -> go (i + 1) (Rbrace :: acc)
-        | ';' -> go (i + 1) (Semi :: acc)
-        | ',' -> go (i + 1) (Comma :: acc)
-        | '^' -> go (i + 1) (Caret :: acc)
-        | '~' -> go (i + 1) (Omega :: acc)
-        | '"' ->
-            (* Quoted string literal: scan to the closing quote, honouring
-               backslash escapes. *)
-            let rec close j =
-              if j >= n then
-                raise (Parse_error (input, "unterminated string literal"))
-              else if input.[j] = '\\' then close (j + 2)
-              else if input.[j] = '"' then j
-              else close (j + 1)
-            in
-            let j = close (i + 1) in
-            go (j + 1) (Lit (String.sub input i (j - i + 1)) :: acc)
-        | _ ->
-            let stop_char c =
-              is_space c || String.contains "[]{};,^" c
-            in
-            let j = ref i in
-            while !j < n && not (stop_char input.[!j]) do
-              incr j
-            done;
-            go !j (Lit (String.sub input i (!j - i)) :: acc)
-  in
-  go 0 []
+  let rec skip i = if i < n && is_space input.[i] then skip (i + 1) else i in
+  let i = skip !pos in
+  if i >= n then (
+    pos := n;
+    Eof)
+  else (
+    pos := i + 1;
+    match input.[i] with
+    | '[' -> Lbracket
+    | ']' -> Rbracket
+    | '{' -> Lbrace
+    | '}' -> Rbrace
+    | ';' -> Semi
+    | ',' -> Comma
+    | '^' -> Caret
+    | '~' -> Omega
+    | '"' ->
+        (* Quoted string literal: scan to the closing quote, honouring
+           backslash escapes. *)
+        let rec close j =
+          if j >= n then
+            raise (Parse_error (input, "unterminated string literal"))
+          else if input.[j] = '\\' then close (j + 2)
+          else if input.[j] = '"' then j
+          else close (j + 1)
+        in
+        let j = close (i + 1) in
+        pos := j + 1;
+        Lit (String.sub input i (j - i + 1))
+    | _ ->
+        let rec stop j =
+          if j < n && not (ends_literal input.[j]) then stop (j + 1) else j
+        in
+        let j = stop i in
+        pos := j;
+        Lit (String.sub input i (j - i)))
 
 (* ------------------------------------------------------------------ *)
 (* Recursive-descent parser.                                           *)
 
-let parse_mass input tok =
+let parse_mass fail tok =
   match tok with
   | Lit s -> (
       match String.index_opt s '/' with
@@ -71,48 +77,69 @@ let parse_mass input tok =
           and b = String.sub s (k + 1) (String.length s - k - 1) in
           match (int_of_string_opt a, int_of_string_opt b) with
           | Some a, Some b when b <> 0 -> float_of_int a /. float_of_int b
-          | _ -> raise (Parse_error (input, "malformed fraction " ^ s)))
+          | _ -> fail ("malformed fraction " ^ s))
       | None -> (
           match float_of_string_opt s with
           | Some f -> f
-          | None -> raise (Parse_error (input, "expected a mass, got " ^ s))))
-  | _ -> raise (Parse_error (input, "expected a mass value"))
+          | None -> fail ("expected a mass, got " ^ s)))
+  | _ -> fail "expected a mass value"
 
 let of_string frame input =
-  let fail msg = raise (Parse_error (input, msg)) in
-  let toks = lex input in
-  let parse_member toks =
-    match toks with
-    | Omega :: rest -> (Domain.values frame, rest)
-    | Lit s :: rest -> (Vset.singleton (Value.of_literal s), rest)
-    | Lbrace :: rest ->
-        let rec elems acc toks =
-          match toks with
-          | Lit s :: Comma :: rest -> elems (Value.of_literal s :: acc) rest
-          | Lit s :: Rbrace :: rest ->
-              (Vset.of_list (Value.of_literal s :: acc), rest)
-          | Rbrace :: rest when acc <> [] -> (Vset.of_list acc, rest)
+  let pos = ref 0 in
+  let next () = next input pos in
+  (* An unterminated string literal anywhere in the input is the error
+     reported, ahead of any syntax or literal error before it: the rest
+     of the input is lexed before either is raised. *)
+  let rec drain () = match next () with Eof -> () | _ -> drain () in
+  let fail msg =
+    drain ();
+    raise (Parse_error (input, msg))
+  in
+  let literal s =
+    try Value.of_literal s
+    with Invalid_argument _ as e ->
+      drain ();
+      raise e
+  in
+  let member () =
+    match next () with
+    | Omega -> Domain.values frame
+    | Lit s -> Vset.singleton (literal s)
+    | Lbrace ->
+        let rec elems acc =
+          match next () with
+          | Lit s -> (
+              match next () with
+              | Comma -> elems (literal s :: acc)
+              | Rbrace -> Vset.of_list (literal s :: acc)
+              | _ -> fail "malformed set {…}")
+          | Rbrace when acc <> [] -> Vset.of_list acc
           | _ -> fail "malformed set {…}"
         in
-        elems [] rest
+        elems []
     | _ -> fail "expected a focal element"
   in
-  let parse_focal toks =
-    let set, rest = parse_member toks in
-    match rest with
-    | Caret :: m :: rest -> ((set, parse_mass input m), rest)
-    | _ -> fail "expected ^mass after focal element"
-  in
-  let rec parse_focals acc toks =
-    let focal, rest = parse_focal toks in
-    match rest with
-    | Semi :: rest -> parse_focals (focal :: acc) rest
-    | Rbracket :: [] -> List.rev (focal :: acc)
-    | Rbracket :: _ -> fail "trailing input after ]"
+  let rec focals acc =
+    let set = member () in
+    let mass =
+      match next () with
+      | Caret -> (
+          match next () with
+          | Eof -> fail "expected ^mass after focal element"
+          | tok -> parse_mass fail tok)
+      | _ -> fail "expected ^mass after focal element"
+    in
+    let acc = (set, mass) :: acc in
+    match next () with
+    | Semi -> focals acc
+    | Rbracket -> (
+        match next () with
+        | Eof -> List.rev acc
+        | _ -> fail "trailing input after ]")
     | _ -> fail "expected ; or ]"
   in
-  match toks with
-  | Lbracket :: rest -> Mass.F.make frame (parse_focals [] rest)
+  match next () with
+  | Lbracket -> Mass.F.make frame (focals [])
   | _ -> fail "expected ["
 
 let to_string = Mass.F.to_string

@@ -24,6 +24,8 @@ val of_string : Domain.t -> string -> t
                  | '{' literal (',' literal)* '}'
       mass     ::= float | int '/' int      (e.g. 0.25 or 1/3)
     v}
+    Whitespace (spaces, tabs, carriage returns and newlines) may
+    separate any two tokens, so a cell may span several lines.
     Masses must sum to 1 (within the float tolerance).
     @raise Parse_error on syntax errors.
     @raise Mass.F.Invalid_mass on semantic errors (bad masses, values

@@ -53,19 +53,18 @@ let is_bare_string s =
   && String.for_all ident_char s
   && s <> "true" && s <> "false"
 
-let pp ppf = function
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int n -> Format.pp_print_int ppf n
+(* Plain strings, not Format: the .erd printer calls this once per value,
+   and a bare string comes back without a copy. *)
+let to_string = function
+  | Bool b -> string_of_bool b
+  | Int n -> string_of_int n
   | Float f ->
       (* Keep a trailing ".": distinguishes Float 2. from Int 2 on reparse. *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Format.fprintf ppf "%.1f" f
-      else Format.fprintf ppf "%g" f
-  | String s ->
-      if is_bare_string s then Format.pp_print_string ppf s
-      else Format.fprintf ppf "%S" s
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+      else Printf.sprintf "%g" f
+  | String s -> if is_bare_string s then s else Printf.sprintf "%S" s
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let of_literal raw =
   let s = String.trim raw in
@@ -76,15 +75,13 @@ let of_literal raw =
     try Scanf.sscanf s "%S%!" (fun u -> String u)
     with Scanf.Scan_failure _ | Failure _ | End_of_file ->
       invalid_arg ("Value.of_literal: malformed string literal " ^ s)
+  else if not (s.[0] = '-' || s.[0] = '+' || (s.[0] >= '0' && s.[0] <= '9'))
+  then
+    (* Neither an int nor a float literal starts any other way; this also
+       keeps identifiers like "infinity-grill" or "nan" strings. *)
+    String s
   else
     match int_of_string_opt s with
     | Some n -> Int n
     | None -> (
-        (* Only treat as float when it looks numeric: avoids capturing
-           identifiers like "infinity-grill" or "nan". *)
-        let numericish =
-          s.[0] = '-' || s.[0] = '+' || (s.[0] >= '0' && s.[0] <= '9')
-        in
-        match (numericish, float_of_string_opt s) with
-        | true, Some f -> Float f
-        | _ -> String s)
+        match float_of_string_opt s with Some f -> Float f | None -> String s)

@@ -3,14 +3,22 @@ exception Io_error of { line : int; col : int; message : string }
 let fail ?(col = 0) line fmt =
   Format.kasprintf (fun message -> raise (Io_error { line; col; message })) fmt
 
-(* Offset of the first character of [s] that is not a blank, or
-   [String.length s] when all are. *)
-let lead s =
-  let n = String.length s in
-  let rec go i =
-    if i < n && (s.[i] = ' ' || s.[i] = '\t') then go (i + 1) else i
-  in
-  go 0
+(* Number of blanks (spaces and tabs) that open [s.[i] .. s.[stop-1]]. *)
+let blanks s i stop =
+  let blank c = c = ' ' || c = '\t' in
+  let rec go j = if j < stop && blank s.[j] then go (j + 1) else j in
+  go i - i
+
+let lead s = blanks s 0 (String.length s)
+
+(* The bounds of [s.[i] .. s.[stop-1]] without the leading and trailing
+   whitespace that [String.trim] removes. *)
+let trim_bounds s i stop =
+  let space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t' in
+  let rec first i = if i < stop && space s.[i] then first (i + 1) else i in
+  let i = first i in
+  let rec last j = if j > i && space s.[j - 1] then last (j - 1) else j in
+  (i, last stop)
 
 let string_mentions haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -82,63 +90,56 @@ let parse_cell ?(col = 0) line attr raw =
       | Dst.Mass.F.Invalid_mass m ->
           fail ~col line "bad evidence for %s: %s" (Attr.name attr) m)
 
-(* [base_col] is the 1-based column of [body]'s first character, so each
-   field's own column can be derived from the positions of the '|'
+(* Parses the row body [s.[first] .. s.[stop-1]]. [base_col] is the
+   1-based column of [s.[first]] in its source line (0 when unknown), so
+   each field's own column follows from the positions of the '|'
    separators. *)
-let parse_tuple ?(base_col = 0) line schema body =
-  let fields =
-    let n = String.length body in
-    let pieces = ref [] and start = ref 0 in
-    String.iteri
-      (fun i c ->
-        if c = '|' then begin
-          pieces := (!start, String.sub body !start (i - !start)) :: !pieces;
-          start := i + 1
-        end)
-      body;
-    pieces := (!start, String.sub body !start (n - !start)) :: !pieces;
-    List.rev_map
-      (fun (off, f) ->
-        let col = if base_col = 0 then 0 else base_col + off + lead f in
-        (col, String.trim f))
-      !pieces
-  in
+let parse_row ~base_col line schema s first stop =
   let expected = Schema.arity schema + 1 in
-  if List.length fields <> expected then
+  let got = ref 1 in
+  for i = first to stop - 1 do
+    if s.[i] = '|' then incr got
+  done;
+  if !got <> expected then
     fail ~col:base_col line "expected %d |-separated fields, got %d" expected
-      (List.length fields);
-  let key_attrs = Schema.key schema in
-  let rec split n l =
-    if n = 0 then ([], l)
-    else
-      match l with
-      | x :: rest ->
-          let a, b = split (n - 1) rest in
-          (x :: a, b)
-      | [] -> assert false
+      !got;
+  let pos = ref first in
+  (* The next field's column and trimmed text. *)
+  let field () =
+    let a = !pos in
+    let rec bar j = if j < stop && s.[j] <> '|' then bar (j + 1) else j in
+    let b = bar a in
+    pos := b + 1;
+    let col =
+      if base_col = 0 then 0 else base_col + (a - first) + blanks s a b
+    in
+    let i, j = trim_bounds s a b in
+    (col, String.sub s i (j - i))
   in
-  let key_raw, rest = split (List.length key_attrs) fields in
-  let cell_raw, tm_raw = split (List.length (Schema.nonkey schema)) rest in
+  (* A fold, not List.map, so fields are consumed left to right. *)
+  let fields attrs parse =
+    List.rev
+      (List.fold_left
+         (fun acc attr ->
+           let col, raw = field () in
+           parse ~col attr raw :: acc)
+         [] attrs)
+  in
   let key =
-    List.map2
-      (fun attr (col, raw) ->
+    fields (Schema.key schema) (fun ~col attr raw ->
         match Attr.kind attr with
         | Attr.Definite kind -> parse_definite ~col line kind raw
         | Attr.Evidential _ -> fail ~col line "evidential key attribute")
-      key_attrs key_raw
   in
   let cells =
-    List.map2
-      (fun attr (col, raw) -> parse_cell ~col line attr raw)
-      (Schema.nonkey schema) cell_raw
+    fields (Schema.nonkey schema) (fun ~col attr raw ->
+        parse_cell ~col line attr raw)
   in
   let tm =
-    match tm_raw with
-    | [ (col, raw) ] -> (
-        try Dst.Support.of_string raw
-        with Invalid_argument _ | Dst.Support.Invalid_support _ ->
-          fail ~col line "bad membership pair %s" raw)
-    | _ -> assert false
+    let col, raw = field () in
+    try Dst.Support.of_string raw
+    with Invalid_argument _ | Dst.Support.Invalid_support _ ->
+      fail ~col line "bad membership pair %s" raw
   in
   try Etuple.make schema ~key ~cells ~tm
   with Etuple.Tuple_error m -> fail ~col:base_col line "%s" m
@@ -146,14 +147,20 @@ let parse_tuple ?(base_col = 0) line schema body =
 type block = {
   rname : string;
   rline : int;
+  (* Newest first; reversed once when the block is built. *)
   mutable keys : Attr.t list;
   mutable attrs : Attr.t list;
-  mutable rows : (int * int * string) list;  (* line, column, body *)
+  mutable rows : (int * int * int * int) list;  (* line, column, body bounds *)
 }
 
+(* One pass over the lines, by index: directives are checked and
+   declarations parsed as they come, tuple rows are kept as bounds into
+   [input] and parsed once their block's schema is known. *)
 let relations_of_string input =
-  let lines = String.split_on_char '\n' input in
-  Obs.Metrics.incr ~by:(List.length lines) "io.parse.lines";
+  let n = String.length input in
+  let newlines = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr newlines) input;
+  Obs.Metrics.incr ~by:(!newlines + 1) "io.parse.lines";
   let blocks = ref [] in
   let current = ref None in
   let flush () =
@@ -163,64 +170,72 @@ let relations_of_string input =
         current := None
     | None -> ()
   in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      let indent = lead raw in
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then ()
-      else begin
-        let word, word_len =
-          match String.index_opt line ' ' with
-          | None -> (line, String.length line)
-          | Some k -> (String.sub line 0 k, k)
-        in
-        let rest = String.sub line word_len (String.length line - word_len) in
-        let body = String.trim rest in
-        (* 1-based column of the body's first character in the raw line. *)
-        let body_col = indent + word_len + lead rest + 1 in
-        match word with
-        | "relation" ->
-            flush ();
-            if body = "" then
-              fail ~col:(indent + 1) lineno "relation needs a name"
-            else
-              current :=
-                Some
-                  { rname = body;
-                    rline = lineno;
-                    keys = [];
-                    attrs = [];
-                    rows = [] }
-        | _ -> (
-            match (!current, word) with
-            | None, _ ->
-                fail ~col:(indent + 1) lineno "expected `relation <name>` first"
-            | Some b, "key" ->
-                b.keys <- b.keys @ [ parse_attr_decl ~col:body_col lineno body ]
-            | Some b, "attr" ->
-                b.attrs <- b.attrs @ [ parse_attr_decl ~col:body_col lineno body ]
-            | Some b, "tuple" -> b.rows <- b.rows @ [ (lineno, body_col, body) ]
-            | Some _, other ->
-                fail ~col:(indent + 1) lineno "unknown directive %s" other)
-      end)
-    lines;
+  let directive lineno start stop =
+    let indent = blanks input start stop in
+    let ls, le = trim_bounds input start stop in
+    if ls < le && input.[ls] <> '#' then begin
+      let rec to_space k =
+        if k < le && input.[k] <> ' ' then to_space (k + 1) else k
+      in
+      let word_end = to_space ls in
+      let word_len = word_end - ls in
+      let bs, be = trim_bounds input word_end le in
+      (* 1-based column of the body's first character in the raw line. *)
+      let body_col = indent + word_len + blanks input word_end le + 1 in
+      let body () = String.sub input bs (be - bs) in
+      match String.sub input ls word_len with
+      | "relation" ->
+          flush ();
+          if bs = be then fail ~col:(indent + 1) lineno "relation needs a name"
+          else
+            current :=
+              Some
+                { rname = body ();
+                  rline = lineno;
+                  keys = [];
+                  attrs = [];
+                  rows = [] }
+      | word -> (
+          match (!current, word) with
+          | None, _ ->
+              fail ~col:(indent + 1) lineno "expected `relation <name>` first"
+          | Some b, "key" ->
+              b.keys <- parse_attr_decl ~col:body_col lineno (body ()) :: b.keys
+          | Some b, "attr" ->
+              b.attrs <-
+                parse_attr_decl ~col:body_col lineno (body ()) :: b.attrs
+          | Some b, "tuple" -> b.rows <- (lineno, body_col, bs, be) :: b.rows
+          | Some _, other ->
+              fail ~col:(indent + 1) lineno "unknown directive %s" other)
+    end
+  in
+  let rec lines lineno start =
+    let stop =
+      match String.index_from_opt input start '\n' with
+      | Some k -> k
+      | None -> n
+    in
+    directive lineno start stop;
+    if stop < n then lines (lineno + 1) (stop + 1)
+  in
+  lines 1 0;
   flush ();
   List.rev_map
     (fun b ->
       let schema =
-        try Schema.make ~name:b.rname ~key:b.keys ~nonkey:b.attrs
+        try Schema.make ~name:b.rname ~key:(List.rev b.keys)
+              ~nonkey:(List.rev b.attrs)
         with Schema.Schema_error m ->
           fail b.rline "relation %s: %s" b.rname m
       in
       List.fold_left
-        (fun r (lineno, col, body) ->
-          let tuple = parse_tuple ~base_col:col lineno schema body in
+        (fun r (lineno, col, first, stop) ->
+          let tuple = parse_row ~base_col:col lineno schema input first stop in
           try Relation.add r tuple
           with
           | Relation.Duplicate_key _ -> fail ~col lineno "duplicate key"
           | Relation.Relation_error m -> fail ~col lineno "%s" m)
-        (Relation.empty schema) b.rows)
+        (Relation.empty schema) (List.rev b.rows))
     !blocks
 
 let relation_of_string input =
@@ -228,52 +243,100 @@ let relation_of_string input =
   | [ r ] -> r
   | l -> fail 0 "expected exactly one relation, found %d" (List.length l)
 
-(* Serialization prints masses losslessly but readably: the shortest of
+(* Serialization writes each row into one Buffer, without Format: a
+   Format break hint wraps a long focal set at the 78-column margin, and
+   a row must stay on one line.
+
+   Masses print losslessly but readably: the shortest of
    %.15g/%.16g/%.17g that parses back to the same double (%.17g is always
-   exact; most masses round-trip at 15 digits already). *)
+   exact; most masses round-trip at 15 digits already). [format_float]
+   is the primitive behind Printf's %g, without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let exact_float x =
-  let try_digits d =
-    let s = Printf.sprintf "%.*g" d x in
+  let exact s =
     match float_of_string_opt s with
-    | Some y when Float.equal y x -> Some s
-    | Some _ | None -> None
+    | Some y -> Float.equal y x
+    | None -> false
   in
-  match (try_digits 15, try_digits 16) with
-  | Some s, _ -> s
-  | None, Some s -> s
-  | None, None -> Printf.sprintf "%.17g" x
+  let s = format_float "%.15g" x in
+  if exact s then s
+  else
+    let s = format_float "%.16g" x in
+    if exact s then s else format_float "%.17g" x
 
-let exact_evidence e =
+let add_value buf v = Buffer.add_string buf (Dst.Value.to_string v)
+
+(* A singleton prints as its value, any other set as {v1, v2, …}. *)
+let add_set buf set =
+  match Dst.Vset.to_list set with
+  | [ v ] -> add_value buf v
+  | vs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_value buf v)
+        vs;
+      Buffer.add_char buf '}'
+
+let add_evidence buf e =
   let omega = Dst.Domain.values (Dst.Mass.F.frame e) in
-  let focal (set, x) =
-    let member =
-      if Dst.Vset.equal set omega then "~"
-      else Format.asprintf "%a" Dst.Vset.pp_compact set
-    in
-    member ^ "^" ^ exact_float x
-  in
-  "[" ^ String.concat "; " (List.map focal (Dst.Mass.F.focals e)) ^ "]"
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i (set, x) ->
+      if i > 0 then Buffer.add_string buf "; ";
+      if Dst.Vset.equal set omega then Buffer.add_char buf '~'
+      else add_set buf set;
+      Buffer.add_char buf '^';
+      Buffer.add_string buf (exact_float x))
+    (Dst.Mass.F.focals e);
+  Buffer.add_char buf ']'
 
-let exact_support s =
-  Printf.sprintf "(%s, %s)"
-    (exact_float (Dst.Support.sn s))
-    (exact_float (Dst.Support.sp s))
+let add_support buf s =
+  Buffer.add_char buf '(';
+  Buffer.add_string buf (exact_float (Dst.Support.sn s));
+  Buffer.add_string buf ", ";
+  Buffer.add_string buf (exact_float (Dst.Support.sp s));
+  Buffer.add_char buf ')'
+
+let add_cell buf = function
+  | Etuple.Definite v -> add_value buf v
+  | Etuple.Evidence e -> add_evidence buf e
+
+(* Key values, cells and the membership pair, separated by " | ". *)
+let add_row buf t =
+  let field add x =
+    add buf x;
+    Buffer.add_string buf " | "
+  in
+  List.iter (field add_value) (Etuple.key t);
+  List.iter (field add_cell) (Etuple.cells t);
+  add_support buf (Etuple.tm t)
 
 let attr_decl a =
   match Attr.kind a with
-  | Attr.Definite k -> Format.asprintf "%s : %s" (Attr.name a) k
+  | Attr.Definite k -> Attr.name a ^ " : " ^ k
   | Attr.Evidential d ->
-      Format.asprintf "%s : evidence {%s}" (Attr.name a)
-        (String.concat ", "
-           (List.map Dst.Value.to_string
-              (Dst.Vset.to_list (Dst.Domain.values d))))
+      Attr.name a ^ " : evidence {"
+      ^ String.concat ", "
+          (List.map Dst.Value.to_string
+             (Dst.Vset.to_list (Dst.Domain.values d)))
+      ^ "}"
+
+let add_schema buf schema =
+  let line directive body =
+    Buffer.add_string buf directive;
+    Buffer.add_string buf body;
+    Buffer.add_char buf '\n'
+  in
+  line "relation " (Schema.name schema);
+  List.iter (fun a -> line "key " (attr_decl a)) (Schema.key schema);
+  List.iter (fun a -> line "attr " (attr_decl a)) (Schema.nonkey schema)
 
 let schema_to_string schema =
   let buf = Buffer.create 128 in
-  let add fmt = Format.kasprintf (Buffer.add_string buf) fmt in
-  add "relation %s\n" (Schema.name schema);
-  List.iter (fun a -> add "key %s\n" (attr_decl a)) (Schema.key schema);
-  List.iter (fun a -> add "attr %s\n" (attr_decl a)) (Schema.nonkey schema);
+  add_schema buf schema;
   Buffer.contents buf
 
 let schema_of_string s =
@@ -282,25 +345,22 @@ let schema_of_string s =
   | l -> fail 0 "expected exactly one relation header, found %d" (List.length l)
 
 let tuple_to_string t =
-  let fields =
-    List.map Dst.Value.to_string (Etuple.key t)
-    @ List.map
-        (function
-          | Etuple.Definite v -> Dst.Value.to_string v
-          | Etuple.Evidence e -> exact_evidence e)
-        (Etuple.cells t)
-    @ [ exact_support (Etuple.tm t) ]
-  in
-  String.concat " | " fields
+  let buf = Buffer.create 128 in
+  add_row buf t;
+  Buffer.contents buf
 
-let tuple_of_string schema s = parse_tuple 0 schema s
+let tuple_of_string schema s =
+  parse_row ~base_col:0 0 schema s 0 (String.length s)
 
 let to_string r =
-  let schema = Relation.schema r in
-  let buf = Buffer.create 256 in
-  let add fmt = Format.kasprintf (Buffer.add_string buf) fmt in
-  Buffer.add_string buf (schema_to_string schema);
-  Relation.iter (fun t -> add "tuple %s\n" (tuple_to_string t)) r;
+  let buf = Buffer.create 4096 in
+  add_schema buf (Relation.schema r);
+  Relation.iter
+    (fun t ->
+      Buffer.add_string buf "tuple ";
+      add_row buf t;
+      Buffer.add_char buf '\n')
+    r;
   Buffer.contents buf
 
 (* Both failure channels carry the file path: open_in's Sys_error
@@ -332,7 +392,11 @@ let load path =
 
 let save path rels =
   let oc = open_out path in
-  List.iter (fun r -> output_string oc (to_string r ^ "\n")) rels;
+  List.iter
+    (fun r ->
+      output_string oc (to_string r);
+      output_char oc '\n')
+    rels;
   close_out oc
 
 (* RFC 4180: fields separated by commas, quoted fields may contain
@@ -401,7 +465,10 @@ let relation_of_csv schema input =
               if String.contains f '|' then
                 fail lineno "CSV field contains '|', which the cell syntax reserves")
             fields;
-          let tuple = parse_tuple lineno schema (String.concat "|" fields) in
+          let row = String.concat "|" fields in
+          let tuple =
+            parse_row ~base_col:0 lineno schema row 0 (String.length row)
+          in
           match Relation.add r tuple with
           | r -> (r, lineno + 1)
           | exception Relation.Duplicate_key _ -> fail lineno "duplicate key"

@@ -28,8 +28,11 @@ val relation_of_string : string -> Relation.t
 (** Expects exactly one relation block. @raise Io_error otherwise. *)
 
 val to_string : Relation.t -> string
-(** Round-trips through {!relation_of_string} (modulo float
-    formatting). *)
+(** One relation block: the header lines, then exactly one [tuple] line
+    per tuple, each ending in a newline; no cell ever wraps onto a
+    second line. Masses and supports print losslessly (see
+    {!tuple_to_string}), so {!relation_of_string} gives back the same
+    relation, up to the [%g] display of definite [float] cells. *)
 
 (** {2 Record-level pieces}
 
@@ -49,8 +52,10 @@ val schema_of_string : string -> Schema.t
 
 val tuple_to_string : Etuple.t -> string
 (** One tuple row body ([k | cell | … | (sn, sp)], no [tuple] keyword).
-    Floats print via the exact round-trip encoding of {!to_string}, so
-    [tuple_of_string] returns a bit-identical tuple. *)
+    Each mass and support prints as the shortest of [%.15g], [%.16g]
+    and [%.17g] that parses back to the same double, so
+    [tuple_of_string] returns a bit-identical tuple (definite [float]
+    cells aside, which print with [%g]). *)
 
 val tuple_of_string : Schema.t -> string -> Etuple.t
 (** Inverse of {!tuple_to_string} under the same schema.

@@ -1,8 +1,12 @@
 (* The .erd serialization format: parsing, error reporting with line
-   numbers, round-tripping (including the paper's relations), and file
-   load/save. *)
+   numbers, round-tripping (including the paper's relations), file
+   load/save, and the codec's linear cost and exact float encoding.
+
+   Seeds: the qcheck properties honour QCHECK_SEED, which CI pins. *)
 
 module V = Dst.Value
+module G = Workload.Gen
+module R = Workload.Rng
 
 let sample =
   {|# a comment
@@ -160,6 +164,185 @@ let test_csv_errors () =
   rejects "unterminated quote"
     "name,age,kind,\"(sn,sp)\"\n\"rex,3,[dog^1],\"(1, 1)\"\n"
 
+(* --- one row per line ------------------------------------------------ *)
+
+(* A frame of [width] values named value_number_NN: a focal set of more
+   than five of them is wider than Format's 78-column margin. *)
+let wide_frame width =
+  Dst.Domain.of_values "wide"
+    (List.init width (fun i -> V.string (Printf.sprintf "value_number_%02d" i)))
+
+let frame20 = wide_frame 20
+
+(* One tuple whose cell puts mass on 19 of the 20 values. *)
+let wide_relation () =
+  let schema =
+    Erm.Schema.make ~name:"wide"
+      ~key:[ Erm.Attr.definite "k" "string" ]
+      ~nonkey:[ Erm.Attr.evidential "e" frame20 ]
+  in
+  let nineteen =
+    Dst.Vset.of_list (List.tl (Dst.Vset.to_list (Dst.Domain.values frame20)))
+  in
+  let e =
+    Dst.Mass.F.make frame20
+      [ (nineteen, 0.75); (Dst.Domain.values frame20, 0.25) ]
+  in
+  Erm.Relation.of_tuples schema
+    [ Erm.Etuple.make schema ~key:[ V.string "k1" ]
+        ~cells:[ Erm.Etuple.Evidence e ] ~tm:Dst.Support.certain ]
+
+let count_lines prefix text =
+  List.length
+    (List.filter
+       (fun l -> String.starts_with ~prefix l)
+       (String.split_on_char '\n' text))
+
+let test_long_set_one_line () =
+  let r = wide_relation () in
+  let text = Erm.Io.to_string r in
+  Alcotest.(check int) "one tuple line" 1 (count_lines "tuple " text);
+  Alcotest.(check int) "header + row, nothing wrapped" 4
+    (List.length (String.split_on_char '\n' text) - 1);
+  Alcotest.(check bool) "reloads equal" true
+    (Exact.rel_equal r (Erm.Io.relation_of_string text))
+
+let test_long_set_store () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eridb_io_%d_%d" (Unix.getpid ()) (Random.int 100000))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun file -> Sys.remove (Filename.concat dir file))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () ->
+      let r = wide_relation () in
+      ignore (Store.Estore.create ~dir ~name:"wide" r);
+      let t, _ = Store.Estore.open_store ~verify:true dir in
+      Alcotest.(check bool) "store reopens equal" true
+        (Exact.rel_equal r (Store.Estore.relation t)))
+
+(* Rows written before sets were printed on one line can hold a newline
+   and indentation inside a set; they must still parse. *)
+let test_wrapped_cell_accepted () =
+  let r = wide_relation () in
+  let schema = Erm.Relation.schema r in
+  let wrapped =
+    String.concat ",\n "
+      (List.init 19 (fun i -> Printf.sprintf "value_number_%02d" (i + 1)))
+  in
+  let row = Printf.sprintf "k1 | [{%s}^0.75; ~^0.25] | (1, 1)" wrapped in
+  Alcotest.(check bool) "row holds a newline" true (String.contains row '\n');
+  let t = Erm.Io.tuple_of_string schema row in
+  Alcotest.(check bool) "same tuple" true
+    (Exact.tuple (Erm.Relation.find r [ V.string "k1" ]) t)
+
+(* --- linear cost ----------------------------------------------------- *)
+
+let parse_words size =
+  let r = G.relation (R.create 7) ~size (G.schema "lin") in
+  let text = Erm.Io.to_string r in
+  let before = Gc.minor_words () in
+  ignore (Erm.Io.relation_of_string text);
+  Gc.minor_words () -. before
+
+(* A count, not a timing: 4x the tuples must cost well under 5x the
+   minor-heap words (a loader that re-copies its row list each line is
+   quadratic and reads about 9 here). *)
+let test_linear_allocation () =
+  let ratio = parse_words 4000 /. parse_words 1000 in
+  if not (ratio < 5.0) then
+    Alcotest.failf "4000/1000-tuple parse allocates %.2fx the words" ratio
+
+(* --- codec properties ------------------------------------------------ *)
+
+(* [size] tuples with an int cell, a cell over a [width]-value frame
+   whose focal sets may span the whole frame, and a narrow cell. *)
+let narrow = G.domain ~size:4 "narrow"
+
+let codec_relation seed ~width ~size =
+  let rng = R.create seed in
+  let frame = wide_frame width in
+  let schema =
+    Erm.Schema.make ~name:"codec"
+      ~key:[ Erm.Attr.definite "k" "string" ]
+      ~nonkey:
+        [ Erm.Attr.definite "n" "int";
+          Erm.Attr.evidential "wide" frame;
+          Erm.Attr.evidential "narrow" narrow ]
+  in
+  Erm.Relation.of_tuples schema
+    (List.init size (fun i ->
+         Erm.Etuple.make schema
+           ~key:[ V.string (Printf.sprintf "key%d" i) ]
+           ~cells:
+             [ Erm.Etuple.Definite (V.int (R.int rng 1000 - 500));
+               Erm.Etuple.Evidence
+                 (G.evidence rng ~focals:4 ~max_focal_size:width frame);
+               Erm.Etuple.Evidence (G.evidence rng narrow) ]
+           ~tm:(G.support rng)))
+
+let codec_arb =
+  QCheck.(pair (int_range 0 1_000_000) (int_range 1 24))
+
+(* The oracle: the shortest of %.15g/%.16g/%.17g that reads back equal. *)
+let shortest x =
+  let s d = Printf.sprintf "%.*g" d x in
+  match
+    List.find_opt (fun d -> Float.equal (float_of_string (s d)) x) [ 15; 16 ]
+  with
+  | Some d -> s d
+  | None -> s 17
+
+(* The float tokens of a printed row: each mass (after '^', up to ';' or
+   ']') in order, then sn and sp from the trailing "(sn, sp)". *)
+let printed_floats row =
+  let n = String.length row in
+  let rec masses i acc =
+    match String.index_from_opt row i '^' with
+    | None -> List.rev acc
+    | Some k ->
+        let rec stop j =
+          if j < n && row.[j] <> ';' && row.[j] <> ']' then stop (j + 1)
+          else j
+        in
+        let j = stop (k + 1) in
+        masses j (String.sub row (k + 1) (j - k - 1) :: acc)
+  in
+  let open_paren = String.rindex row '(' in
+  let pair = String.sub row (open_paren + 1) (n - open_paren - 2) in
+  masses 0 [] @ List.map String.trim (String.split_on_char ',' pair)
+
+let expected_floats t =
+  List.concat_map
+    (function
+      | Erm.Etuple.Definite _ -> []
+      | Erm.Etuple.Evidence e -> List.map snd (Dst.Mass.F.focals e))
+    (Erm.Etuple.cells t)
+  @ [ Dst.Support.sn (Erm.Etuple.tm t); Dst.Support.sp (Erm.Etuple.tm t) ]
+  |> List.map shortest
+
+let prop_shortest_floats =
+  QCheck.Test.make ~name:"every float prints as the shortest exact %.Ng"
+    ~count:200 codec_arb (fun (seed, width) ->
+      Erm.Relation.for_all
+        (fun t ->
+          printed_floats (Erm.Io.tuple_to_string t) = expected_floats t)
+        (codec_relation seed ~width ~size:4))
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"relation_of_string (to_string r) = r, bit-exact"
+    ~count:200 codec_arb (fun (seed, width) ->
+      let r = codec_relation seed ~width ~size:4 in
+      let text = Erm.Io.to_string r in
+      count_lines "tuple " text = 4
+      && Exact.rel_equal r (Erm.Io.relation_of_string text))
+
 let () =
   Alcotest.run "io"
     [ ( "parse",
@@ -173,8 +356,18 @@ let () =
         [ Alcotest.test_case "sample" `Quick test_roundtrip_sample;
           Alcotest.test_case "paper tables" `Quick test_roundtrip_paper_tables;
           Alcotest.test_case "load/save files" `Quick test_load_save;
-          Alcotest.test_case "value kinds" `Quick test_value_kinds_roundtrip ]
-      );
+          Alcotest.test_case "value kinds" `Quick test_value_kinds_roundtrip;
+          Alcotest.test_case "long focal set prints on one line" `Quick
+            test_long_set_one_line;
+          Alcotest.test_case "long focal set through the store" `Quick
+            test_long_set_store;
+          Alcotest.test_case "cell with an embedded newline parses" `Quick
+            test_wrapped_cell_accepted ] );
+      ( "codec",
+        [ Alcotest.test_case "parse allocation is linear" `Quick
+            test_linear_allocation;
+          QCheck_alcotest.to_alcotest prop_shortest_floats;
+          QCheck_alcotest.to_alcotest prop_roundtrip ] );
       ( "csv",
         [ Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "paper data" `Quick test_csv_roundtrip_paper;
