@@ -181,9 +181,14 @@ let s002 (s : Checkdef.store_subject) =
             | Some domain ->
                 let aname = Erm.Attr.name attr in
                 (* A value stays a dormancy candidate while every cell
-                   seen so far keeps Bel = 0 and Pls <= eps. *)
+                   seen so far keeps Bel = 0 and Pls <= eps. Each
+                   candidate's singleton is masked once. *)
                 let candidates =
-                  ref (Dst.Vset.to_list (Dst.Domain.values domain))
+                  ref
+                    (List.map
+                       (fun v ->
+                         (v, Dst.Domain.mask domain (Dst.Vset.singleton v)))
+                       (Dst.Vset.to_list (Dst.Domain.values domain)))
                 in
                 Erm.Relation.iter
                   (fun t ->
@@ -193,14 +198,13 @@ let s002 (s : Checkdef.store_subject) =
                       | Erm.Etuple.Evidence e ->
                           candidates :=
                             List.filter
-                              (fun v ->
-                                let sv = Dst.Vset.singleton v in
-                                Dst.Mass.F.bel e sv = 0.0
-                                && Dst.Mass.F.pls e sv <= eps)
+                              (fun (_, sv) ->
+                                Dst.Mass.F.bel_mask e sv = 0.0
+                                && Dst.Mass.F.pls_mask e sv <= eps)
                               !candidates)
                   r;
                 List.map
-                  (fun v ->
+                  (fun (v, _) ->
                     finding Checkdef.Low ~file:rname ~code:"S002"
                       "domain value %s of %s.%s is dormant: Bel = 0 and Pls \
                        <= %g in every stored tuple"

@@ -15,9 +15,11 @@
     under another — switching the session rule mid-run is always safe
     with a warm cache.
 
-    Lookups use {!Mass.S.compare}'s structural order: operands within
-    float tolerance of each other but not bit-equal occupy separate
-    entries — a duplicate entry costs memory, never correctness.
+    Lookups use {!Mass.S.compare}'s structural order: frames compare by
+    identity first and focal sets as mask words, so a key comparison
+    walks no value trees. Operands within float tolerance of each other
+    but not bit-equal occupy separate entries — a duplicate entry costs
+    memory, never correctness.
 
     The cache is mutable and unsynchronized; share one per evaluation
     context, not across domains. *)

@@ -101,26 +101,43 @@ let of_string frame input =
       drain ();
       raise e
   in
+  (* Each member's mask is set bit by bit from the parsed values. A value
+     outside the frame is kept aside: the input is then rebuilt as value
+     sets and handed to [Mass.F.make], so that the error names the whole
+     focal set and any earlier entry's error still comes first. *)
+  let outside = ref false in
+  let add_value mask extra v =
+    let i = Domain.index frame v in
+    if i >= 0 then (
+      Domain.add_bit mask i;
+      extra)
+    else (
+      outside := true;
+      v :: extra)
+  in
   let member () =
     match next () with
-    | Omega -> Domain.values frame
-    | Lit s -> Vset.singleton (literal s)
+    | Omega -> (Domain.full_mask frame, [])
+    | Lit s ->
+        let mask = Domain.empty_mask frame in
+        (mask, add_value mask [] (literal s))
     | Lbrace ->
-        let rec elems acc =
+        let mask = Domain.empty_mask frame in
+        let rec elems extra any =
           match next () with
           | Lit s -> (
               match next () with
-              | Comma -> elems (literal s :: acc)
-              | Rbrace -> Vset.of_list (literal s :: acc)
+              | Comma -> elems (add_value mask extra (literal s)) true
+              | Rbrace -> add_value mask extra (literal s)
               | _ -> fail "malformed set {…}")
-          | Rbrace when acc <> [] -> Vset.of_list acc
+          | Rbrace when any -> extra
           | _ -> fail "malformed set {…}"
         in
-        elems []
+        (mask, elems [] false)
     | _ -> fail "expected a focal element"
   in
   let rec focals acc =
-    let set = member () in
+    let mask, extra = member () in
     let mass =
       match next () with
       | Caret -> (
@@ -129,7 +146,7 @@ let of_string frame input =
           | tok -> parse_mass fail tok)
       | _ -> fail "expected ^mass after focal element"
     in
-    let acc = (set, mass) :: acc in
+    let acc = (mask, extra, mass) :: acc in
     match next () with
     | Semi -> focals acc
     | Rbracket -> (
@@ -139,7 +156,18 @@ let of_string frame input =
     | _ -> fail "expected ; or ]"
   in
   match next () with
-  | Lbracket -> Mass.F.make frame (focals [])
+  | Lbracket ->
+      let entries = focals [] in
+      if !outside then
+        Mass.F.make frame
+          (List.map
+             (fun (mask, extra, x) ->
+               let set = Domain.vset_at frame mask 0 in
+               (Vset.union set (Vset.of_list extra), x))
+             entries)
+      else
+        Mass.F.make_masks frame
+          (List.map (fun (mask, _, x) -> (mask, x)) entries)
   | _ -> fail "expected ["
 
 let to_string = Mass.F.to_string

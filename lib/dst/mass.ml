@@ -13,6 +13,7 @@ module type S = sig
     | Conflicted
 
   val make : Domain.t -> (Vset.t * num) list -> t
+  val make_masks : Domain.t -> (Domain.mask * num) list -> t
   val make_normalized : Domain.t -> (Vset.t * num) list -> t
   val vacuous : Domain.t -> t
   val certain : Domain.t -> Value.t -> t
@@ -22,9 +23,13 @@ module type S = sig
   val frame : t -> Domain.t
   val focals : t -> (Vset.t * num) list
   val focal_count : t -> int
+  val focal_sets : t -> Domain.mask
+  val focal_mass : t -> int -> num
   val mass : t -> Vset.t -> num
   val bel : t -> Vset.t -> num
   val pls : t -> Vset.t -> num
+  val bel_mask : t -> Domain.mask -> num
+  val pls_mask : t -> Domain.mask -> num
   val doubt : t -> Vset.t -> num
   val commonality : t -> Vset.t -> num
   val interval : t -> Vset.t -> num * num
@@ -60,11 +65,15 @@ module type S = sig
   val digest : t -> string
 end
 
-module Vmap = Map.Make (Vset)
-
 module Make (N : Num.S) : S with type num = N.t = struct
   type num = N.t
-  type t = { frame : Domain.t; focals : num Vmap.t }
+
+  (* Focal sets are masks over the frame's numbering (see Domain), stored
+     back to back: focal k is [sets.(k*w) .. sets.(k*w + w - 1)], where
+     w = Domain.words frame, in ascending Domain.compare_at order — which
+     is Vset.compare order. [masses.(k)] is its mass. Neither array is
+     written after construction. *)
+  type t = { frame : Domain.t; sets : int array; masses : num array }
 
   exception Invalid_mass of string
   exception Total_conflict
@@ -79,48 +88,114 @@ module Make (N : Num.S) : S with type num = N.t = struct
   let num_lt a b = N.compare a b < 0
   let num_gt a b = N.compare a b > 0
   let is_zero x = N.equal x N.zero
+  let width m = Domain.words m.frame
+  let count m = Array.length m.masses
 
-  let sum_masses m = Vmap.fold (fun _ x acc -> N.add x acc) m N.zero
+  (* Index of the [w]-word set at [src.(off)] among the first [n] sets of
+     the sorted [words], or [-(insertion point) - 1] when absent. *)
+  let search w words n src off =
+    let lo = ref 0 and hi = ref n and found = ref (-1) in
+    while !found < 0 && !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let c = Domain.compare_at w src off words (mid * w) in
+      if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
+    done;
+    if !found >= 0 then !found else - !lo - 1
 
-  (* Shared validation: merge duplicates, drop zeros, check range. *)
-  let collect frame entries =
-    List.fold_left
-      (fun acc (set, x) ->
+  (* A table of distinct focal sets, sorted, each with its running sum.
+     Every kernel knows its capacity up front (|F1|·|F2| products at
+     most), so the arrays never grow. A mass adds to its set's sum in the
+     order it arrives: the summation order of the products is the
+     kernel's iteration order. *)
+  type table = { w : int; mutable n : int; words : int array; vals : num array }
+
+  let table w cap =
+    let cap = max 1 cap in
+    { w; n = 0; words = Array.make (cap * w) 0; vals = Array.make cap N.zero }
+
+  let accumulate tb src off p =
+    let pos = search tb.w tb.words tb.n src off in
+    if pos >= 0 then tb.vals.(pos) <- N.add p tb.vals.(pos)
+    else begin
+      let i = -pos - 1 and w = tb.w in
+      Array.blit tb.words (i * w) tb.words ((i + 1) * w) ((tb.n - i) * w);
+      Array.blit tb.vals i tb.vals (i + 1) (tb.n - i);
+      Array.blit src off tb.words (i * w) w;
+      tb.vals.(i) <- p;
+      tb.n <- tb.n + 1
+    end
+
+  (* The table is dropped afterwards, so a full array is taken as is. *)
+  let freeze ?scale frame tb =
+    let fit a len = if Array.length a = len then a else Array.sub a 0 len in
+    let masses =
+      match scale with
+      | None -> fit tb.vals tb.n
+      | Some f -> Array.init tb.n (fun i -> f tb.vals.(i))
+    in
+    { frame; sets = fit tb.words (tb.n * tb.w); masses }
+
+  let sum_masses tb =
+    let acc = ref N.zero in
+    for i = 0 to tb.n - 1 do
+      acc := N.add tb.vals.(i) !acc
+    done;
+    !acc
+
+  (* Shared validation: merge duplicates, drop zeros, check range.
+     [mask_of] checks the set itself (non-empty, inside the frame). *)
+  let collect frame entries ~mask_of ~vset_of =
+    let tb = table (Domain.words frame) (List.length entries) in
+    List.iter
+      (fun (set, x) ->
         if num_lt x N.zero then
           raise
             (Invalid_mass
-               (Format.asprintf "negative mass %a on %a" N.pp x Vset.pp set))
-        else if is_zero x then acc
-        else if Vset.is_empty set then
-          raise (Invalid_mass "positive mass on the empty set")
-        else if not (Domain.subset set frame) then
-          raise
-            (Invalid_mass
-               (Format.asprintf "focal element %a outside frame %s" Vset.pp
-                  set (Domain.name frame)))
-        else
-          Vmap.update set
-            (function None -> Some x | Some y -> Some (N.add x y))
-            acc)
-      Vmap.empty entries
+               (Format.asprintf "negative mass %a on %a" N.pp x Vset.pp
+                  (vset_of set)))
+        else if not (is_zero x) then accumulate tb (mask_of set) 0 x)
+      entries;
+    tb
 
-  let make frame entries =
-    let focals = collect frame entries in
-    let total = sum_masses focals in
+  let empty_set () = raise (Invalid_mass "positive mass on the empty set")
+
+  let vset_mask frame set =
+    if Vset.is_empty set then empty_set ()
+    else if not (Domain.subset set frame) then
+      raise
+        (Invalid_mass
+           (Format.asprintf "focal element %a outside frame %s" Vset.pp set
+              (Domain.name frame)))
+    else Domain.mask frame set
+
+  let checked_mask frame m =
+    if Domain.cardinal_at (Domain.words frame) m 0 = 0 then empty_set () else m
+
+  let of_table frame tb =
+    let total = sum_masses tb in
     if not (N.equal total N.one) then
       raise
         (Invalid_mass (Format.asprintf "masses sum to %a, not 1" N.pp total))
-    else { frame; focals }
+    else freeze frame tb
+
+  let make frame entries =
+    of_table frame
+      (collect frame entries ~mask_of:(vset_mask frame) ~vset_of:Fun.id)
+
+  let make_masks frame entries =
+    of_table frame
+      (collect frame entries ~mask_of:(checked_mask frame)
+         ~vset_of:(fun m -> Domain.vset_at frame m 0))
 
   let make_normalized frame entries =
-    let focals = collect frame entries in
-    let total = sum_masses focals in
+    let tb = collect frame entries ~mask_of:(vset_mask frame) ~vset_of:Fun.id in
+    let total = sum_masses tb in
     if not (num_gt total N.zero) then
       raise (Invalid_mass "cannot normalize: total mass is zero")
-    else { frame; focals = Vmap.map (fun x -> N.div x total) focals }
+    else freeze ~scale:(fun x -> N.div x total) frame tb
 
   let vacuous frame =
-    { frame; focals = Vmap.singleton (Domain.values frame) N.one }
+    { frame; sets = Domain.full_mask frame; masses = [| N.one |] }
 
   let certain_set frame set = make frame [ (set, N.one) ]
   let certain frame v = certain_set frame (Vset.singleton v)
@@ -132,63 +207,99 @@ module Make (N : Num.S) : S with type num = N.t = struct
     make frame (List.map (fun (v, x) -> (Vset.singleton v, x)) pairs)
 
   let frame m = m.frame
-  let focals m = Vmap.bindings m.focals
-  let focal_count m = Vmap.cardinal m.focals
-  let mass m set = match Vmap.find_opt set m.focals with
-    | Some x -> x
-    | None -> N.zero
+  let focal_count = count
+  let focal_sets m = m.sets
+  let focal_mass m k = m.masses.(k)
 
+  let focals m =
+    let w = width m in
+    List.init (count m) (fun k ->
+        (Domain.vset_at m.frame m.sets (k * w), m.masses.(k)))
+
+  let mass_at m src off =
+    let k = search (width m) m.sets (count m) src off in
+    if k >= 0 then m.masses.(k) else N.zero
+
+  let mass m set =
+    if Vset.is_empty set || not (Domain.subset set m.frame) then N.zero
+    else mass_at m (Domain.mask m.frame set) 0
+
+  (* Ascending focal order, [N.add x acc]: the summation order the
+     goldens pin. *)
   let sum_where p m =
-    Vmap.fold
-      (fun set x acc -> if p set then N.add x acc else acc)
-      m.focals N.zero
+    let w = width m in
+    let acc = ref N.zero in
+    for k = 0 to count m - 1 do
+      if p w m.sets (k * w) then acc := N.add m.masses.(k) !acc
+    done;
+    !acc
 
-  let bel m a = sum_where (fun x -> Vset.subset x a) m
-  let pls m a = sum_where (fun x -> not (Vset.disjoint x a)) m
+  let bel_mask m a = sum_where (fun w s i -> Domain.subset_at w s i a 0) m
+
+  let pls_mask m a =
+    sum_where (fun w s i -> not (Domain.disjoint_at w s i a 0)) m
+
+  let bel m a = bel_mask m (Domain.mask m.frame a)
+  let pls m a = pls_mask m (Domain.mask m.frame a)
   let doubt m a = bel m (Vset.diff (Domain.values m.frame) a)
-  let commonality m a = sum_where (fun x -> Vset.subset a x) m
+
+  (* No focal set holds a value outside the frame. *)
+  let commonality m a =
+    if not (Domain.subset a m.frame) then N.zero
+    else
+      let c = Domain.mask m.frame a in
+      sum_where (fun w s i -> Domain.subset_at w c 0 s i) m
+
   let interval m a = (bel m a, pls m a)
   let ignorance m a = N.sub (pls m a) (bel m a)
 
-  let is_vacuous m =
-    Vmap.cardinal m.focals = 1
-    && Vmap.mem (Domain.values m.frame) m.focals
+  let is_vacuous m = count m = 1 && Domain.is_full_at m.frame m.sets 0
 
   let is_bayesian m =
-    Vmap.for_all (fun set _ -> Vset.cardinal set = 1) m.focals
+    let w = width m in
+    let rec go k =
+      k = count m || (Domain.cardinal_at w m.sets (k * w) = 1 && go (k + 1))
+    in
+    go 0
 
-  let is_definite m =
-    Vmap.cardinal m.focals = 1 && is_bayesian m
+  let is_definite m = count m = 1 && is_bayesian m
 
   let definite_value m =
     if is_definite m then
-      match Vmap.min_binding_opt m.focals with
-      | Some (set, _) -> Some (Vset.choose set)
-      | None -> None
+      let i = Domain.fold_at (width m) m.sets 0 (fun i _ -> i) 0 in
+      Some (Domain.value m.frame i)
     else None
 
   let is_consonant m =
-    let sets = List.map fst (Vmap.bindings m.focals) in
+    let w = width m in
+    let card k = Domain.cardinal_at w m.sets (k * w) in
     let by_size =
-      List.sort (fun a b -> compare (Vset.cardinal a) (Vset.cardinal b)) sets
+      List.init (count m) Fun.id
+      |> List.sort (fun a b -> compare (card a) (card b))
     in
     let rec chained = function
-      | a :: (b :: _ as rest) -> Vset.subset a b && chained rest
+      | a :: (b :: _ as rest) ->
+          Domain.subset_at w m.sets (a * w) m.sets (b * w) && chained rest
       | [ _ ] | [] -> true
     in
     chained by_size
 
   let pp ppf m =
-    let omega = Domain.values m.frame in
-    let pp_focal ppf (set, x) =
-      if Vset.equal set omega then Format.fprintf ppf "~^%a" N.pp x
-      else Format.fprintf ppf "%a^%a" Vset.pp_compact set N.pp x
+    let w = width m in
+    let pp_focal ppf k =
+      let x = m.masses.(k) in
+      if Domain.is_full_at m.frame m.sets (k * w) then
+        Format.fprintf ppf "~^%a" N.pp x
+      else
+        Format.fprintf ppf "%a^%a" Vset.pp_compact
+          (Domain.vset_at m.frame m.sets (k * w))
+          N.pp x
     in
     Format.fprintf ppf "[@[%a@]]"
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
          pp_focal)
-      (Vmap.bindings m.focals)
+      (List.init (count m) Fun.id)
 
   let to_string m = Format.asprintf "%a" pp m
 
@@ -198,16 +309,16 @@ module Make (N : Num.S) : S with type num = N.t = struct
      distinct evidence value a single provenance identity. *)
   let digest m =
     let buf = Buffer.create 64 in
+    let w = width m in
     Buffer.add_string buf (Domain.name m.frame);
     Buffer.add_char buf '#';
-    Buffer.add_string buf (string_of_int (Vset.cardinal (Domain.values m.frame)));
-    Vmap.iter
-      (fun set x ->
-        Buffer.add_char buf '|';
-        Buffer.add_string buf (Format.asprintf "%a" Vset.pp_compact set);
-        Buffer.add_char buf '^';
-        Buffer.add_string buf (Printf.sprintf "%h" (N.to_float x)))
-      m.focals;
+    Buffer.add_string buf (string_of_int (Domain.size m.frame));
+    for k = 0 to count m - 1 do
+      Buffer.add_char buf '|';
+      Domain.add_set_at buf m.frame m.sets (k * w);
+      Buffer.add_char buf '^';
+      Buffer.add_string buf (Printf.sprintf "%h" (N.to_float m.masses.(k)))
+    done;
     Digest.to_hex (Digest.string (Buffer.contents buf))
 
   (* Provenance hook shared by direct combination and the cache's miss
@@ -247,26 +358,26 @@ module Make (N : Num.S) : S with type num = N.t = struct
       raise (Frame_mismatch (m1.frame, m2.frame))
 
   (* Conjunctive cross product: feed every pair (X ∩ Y, m1(X)·m2(Y)) to
-     [emit]; pairs with empty intersection go to [emit_conflict]. When
-     one focal set contains the other, the intersection IS the smaller
-     operand set, and passing that set on (rather than [Vset.inter]'s
-     fresh copy) lets combined results share focal-set values with
-     their operands instead of holding a new tree per cell. *)
+     [emit], which must copy the intersection out of the shared scratch
+     mask before the next pair; pairs with empty intersection go to
+     [emit_conflict] with the indices of X and Y. *)
   let cross m1 m2 ~emit ~emit_conflict =
-    Vmap.iter
-      (fun x mx ->
-        Vmap.iter
-          (fun y my ->
-            let product = N.mul mx my in
-            let z =
-              if Vset.subset x y then x
-              else if Vset.subset y x then y
-              else Vset.inter x y
-            in
-            if Vset.is_empty z then emit_conflict x y product
-            else emit z product)
-          m2.focals)
-      m1.focals
+    let w = width m1 in
+    let z = Array.make w 0 in
+    let s1 = m1.sets and s2 = m2.sets in
+    for i = 0 to count m1 - 1 do
+      let mx = m1.masses.(i) in
+      for j = 0 to count m2 - 1 do
+        let product = N.mul mx m2.masses.(j) in
+        let any = ref 0 in
+        for k = 0 to w - 1 do
+          let bits = s1.((i * w) + k) land s2.((j * w) + k) in
+          z.(k) <- bits;
+          any := !any lor bits
+        done;
+        if !any = 0 then emit_conflict i j product else emit z product
+      done
+    done
 
   let conflict m1 m2 =
     check_frames m1 m2;
@@ -276,11 +387,12 @@ module Make (N : Num.S) : S with type num = N.t = struct
       ~emit_conflict:(fun _ _ p -> kappa := N.add !kappa p);
     !kappa
 
-  let accumulate table set p =
-    table :=
-      Vmap.update set
-        (function None -> Some p | Some q -> Some (N.add p q))
-        !table
+  (* X ∪ Y for focal i of [m1] and focal j of [m2], into [u]. *)
+  let union_into u m1 i m2 j =
+    let w = Array.length u in
+    for k = 0 to w - 1 do
+      u.(k) <- m1.sets.((i * w) + k) lor m2.sets.((j * w) + k)
+    done
 
   (* Every kernel below emits the shared dst.combine.calls /
      conflict_kappa metrics itself; rule-counter bumps and provenance
@@ -291,57 +403,55 @@ module Make (N : Num.S) : S with type num = N.t = struct
       Obs.Metrics.observe "dst.combine.conflict_kappa" (N.to_float kappa)
     end
 
-  let dempster_raw m1 m2 =
+  (* The conjunctive table of two operands and its conflict κ. [extra]
+     reserves room for sets the rule adds afterwards. *)
+  let conjunctive ?(extra = 0) m1 m2 =
     check_frames m1 m2;
-    let table = ref Vmap.empty in
+    let tb = table (width m1) ((count m1 * count m2) + extra) in
     let kappa = ref N.zero in
     cross m1 m2
-      ~emit:(fun set p -> accumulate table set p)
+      ~emit:(fun z p -> accumulate tb z 0 p)
       ~emit_conflict:(fun _ _ p -> kappa := N.add !kappa p);
     note_call !kappa;
-    if Vmap.is_empty !table then begin
+    (tb, !kappa)
+
+  let dempster_raw m1 m2 =
+    let tb, kappa = conjunctive m1 m2 in
+    if tb.n = 0 then begin
       Obs.Metrics.incr "dst.combine.total_conflict";
       None
     end
     else
-      let norm = N.sub N.one !kappa in
+      let norm = N.sub N.one kappa in
       (* Guard against float drift making norm ≤ 0 while some non-empty
          product survived (cannot happen with exact arithmetic). *)
       if N.compare norm N.zero <= 0 then begin
         Obs.Metrics.incr "dst.combine.total_conflict";
         None
       end
-      else
-        Some
-          ( { frame = m1.frame;
-              focals = Vmap.map (fun x -> N.div x norm) !table },
-            !kappa )
+      else Some (freeze ~scale:(fun x -> N.div x norm) m1.frame tb, kappa)
 
   let yager_raw m1 m2 =
-    check_frames m1 m2;
-    let table = ref Vmap.empty in
-    let kappa = ref N.zero in
-    cross m1 m2
-      ~emit:(fun set p -> accumulate table set p)
-      ~emit_conflict:(fun _ _ p -> kappa := N.add !kappa p);
-    note_call !kappa;
+    let tb, kappa = conjunctive ~extra:1 m1 m2 in
     (* Exact zero test, not the tolerance of [N.equal]: any conflict
        mass at all moves to Ω (keeping Σm = 1 exactly). *)
-    if N.compare !kappa N.zero <> 0 then
-      accumulate table (Domain.values m1.frame) !kappa;
-    ({ frame = m1.frame; focals = !table }, !kappa)
+    if N.compare kappa N.zero <> 0 then
+      accumulate tb (Domain.full_mask m1.frame) 0 kappa;
+    (freeze m1.frame tb, kappa)
 
   let dubois_prade_raw m1 m2 =
     check_frames m1 m2;
-    let table = ref Vmap.empty in
+    let tb = table (width m1) (count m1 * count m2) in
+    let u = Array.make (width m1) 0 in
     let kappa = ref N.zero in
     cross m1 m2
-      ~emit:(fun set p -> accumulate table set p)
-      ~emit_conflict:(fun x y p ->
+      ~emit:(fun z p -> accumulate tb z 0 p)
+      ~emit_conflict:(fun i j p ->
         kappa := N.add !kappa p;
-        accumulate table (Vset.union x y) p);
+        union_into u m1 i m2 j;
+        accumulate tb u 0 p);
     note_call !kappa;
-    ({ frame = m1.frame; focals = !table }, !kappa)
+    (freeze m1.frame tb, !kappa)
 
   let average_raw m1 m2 =
     check_frames m1 m2;
@@ -351,11 +461,15 @@ module Make (N : Num.S) : S with type num = N.t = struct
     let kappa = conflict m1 m2 in
     note_call kappa;
     let half = N.div N.one (N.add N.one N.one) in
-    let halved m = Vmap.map (fun x -> N.mul half x) m.focals in
-    let merged =
-      Vmap.union (fun _ a b -> Some (N.add a b)) (halved m1) (halved m2)
-    in
-    ({ frame = m1.frame; focals = merged }, kappa)
+    let w = width m1 in
+    let tb = table w (count m1 + count m2) in
+    List.iter
+      (fun m ->
+        for k = 0 to count m - 1 do
+          accumulate tb m.sets (k * w) (N.mul half m.masses.(k))
+        done)
+      [ m1; m2 ];
+    (freeze m1.frame tb, kappa)
 
   let combine_yager m1 m2 = fst (yager_raw m1 m2)
   let combine_dubois_prade m1 m2 = fst (dubois_prade_raw m1 m2)
@@ -363,29 +477,34 @@ module Make (N : Num.S) : S with type num = N.t = struct
 
   let combine_disjunctive m1 m2 =
     check_frames m1 m2;
-    let table = ref Vmap.empty in
-    Vmap.iter
-      (fun x mx ->
-        Vmap.iter
-          (fun y my -> accumulate table (Vset.union x y) (N.mul mx my))
-          m2.focals)
-      m1.focals;
-    { frame = m1.frame; focals = !table }
+    let tb = table (width m1) (count m1 * count m2) in
+    let u = Array.make (width m1) 0 in
+    for i = 0 to count m1 - 1 do
+      for j = 0 to count m2 - 1 do
+        union_into u m1 i m2 j;
+        accumulate tb u 0 (N.mul m1.masses.(i) m2.masses.(j))
+      done
+    done;
+    freeze m1.frame tb
+
+  (* The [w]-word mask of focal [k], as a fresh array. *)
+  let focal_mask m k =
+    let w = width m in
+    Array.sub m.sets (k * w) w
 
   let discount alpha m =
     if alpha < 0.0 || alpha > 1.0 then
       invalid_arg "Mass.discount: reliability outside [0,1]"
     else begin
       let a = N.of_float alpha in
-      let omega = Domain.values m.frame in
       let scaled =
-        Vmap.fold
-          (fun set x acc -> (set, N.mul a x) :: acc)
-          m.focals
-          [ (omega, N.sub N.one a) ]
+        List.fold_left
+          (fun acc k -> (focal_mask m k, N.mul a m.masses.(k)) :: acc)
+          [ (Domain.full_mask m.frame, N.sub N.one a) ]
+          (List.init (count m) Fun.id)
       in
-      (* [make] merges the Ω entries and drops zeros. *)
-      let result = make m.frame scaled in
+      (* [make_masks] merges the Ω entries and drops zeros. *)
+      let result = make_masks m.frame scaled in
       if Obs.Provenance.on () && alpha < 1.0 then begin
         let src =
           Obs.Provenance.find_or_leaf (digest m) ~label:(to_string m)
@@ -573,10 +692,11 @@ module Make (N : Num.S) : S with type num = N.t = struct
             let entries =
               List.concat_map
                 (fun m ->
-                  List.map (fun (s, x) -> (s, N.div x n)) (focals m))
+                  List.init (count m) (fun k ->
+                      (focal_mask m k, N.div m.masses.(k) n)))
                 ms
             in
-            make m.frame entries
+            make_masks m.frame entries
         | _ ->
             List.fold_left
               (fun acc m ->
@@ -588,78 +708,102 @@ module Make (N : Num.S) : S with type num = N.t = struct
   let condition m set = combine m (certain_set m.frame set)
 
   let pignistic m =
-    let table = Hashtbl.create 16 in
-    Vmap.iter
-      (fun set x ->
-        let share = N.div x (N.of_float (float_of_int (Vset.cardinal set))) in
-        Vset.iter
-          (fun v ->
-            let cur =
-              match Hashtbl.find_opt table v with Some c -> c | None -> N.zero
-            in
-            Hashtbl.replace table v (N.add cur share))
-          set)
-      m.focals;
-    Hashtbl.fold (fun v x acc -> (v, x) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
+    let w = width m in
+    let size = Domain.size m.frame in
+    let sums = Array.make size N.zero and seen = Array.make size false in
+    for k = 0 to count m - 1 do
+      let card = Domain.cardinal_at w m.sets (k * w) in
+      let share = N.div m.masses.(k) (N.of_float (float_of_int card)) in
+      Domain.fold_at w m.sets (k * w)
+        (fun i () ->
+          sums.(i) <- N.add sums.(i) share;
+          seen.(i) <- true)
+        ()
+    done;
+    List.filter_map
+      (fun i ->
+        if seen.(i) then Some (Domain.value m.frame i, sums.(i)) else None)
+      (List.init size Fun.id)
 
   let approximate ~max_focals m =
     if max_focals < 1 then invalid_arg "Mass.approximate: max_focals < 1"
-    else if Vmap.cardinal m.focals <= max_focals then m
+    else if count m <= max_focals then m
     else begin
-      let omega = Domain.values m.frame in
+      let w = width m in
       (* Ω never counts against the budget: dropped mass lands there. *)
       let by_mass =
-        Vmap.bindings m.focals
-        |> List.filter (fun (set, _) -> not (Vset.equal set omega))
-        |> List.sort (fun (_, a) (_, b) -> N.compare b a)
+        List.init (count m) Fun.id
+        |> List.filter (fun k -> not (Domain.is_full_at m.frame m.sets (k * w)))
+        |> List.sort (fun a b -> N.compare m.masses.(b) m.masses.(a))
       in
       let keep_count = max_focals - 1 in
       let rec split i kept = function
         | [] -> (kept, N.zero)
-        | (set, x) :: rest ->
-            if i < keep_count then split (i + 1) ((set, x) :: kept) rest
+        | k :: rest ->
+            if i < keep_count then
+              split (i + 1) ((focal_mask m k, m.masses.(k)) :: kept) rest
             else
               ( kept,
-                List.fold_left (fun acc (_, y) -> N.add acc y) x rest )
+                List.fold_left
+                  (fun acc j -> N.add acc m.masses.(j))
+                  m.masses.(k) rest )
       in
       let kept, dropped = split 0 [] by_mass in
-      let omega_mass = N.add (mass m omega) dropped in
-      make m.frame ((omega, omega_mass) :: kept)
+      let omega = Domain.full_mask m.frame in
+      let omega_mass = N.add (mass_at m omega 0) dropped in
+      make_masks m.frame ((omega, omega_mass) :: kept)
     end
 
   let best_by measure m =
-    let omega = Domain.values m.frame in
-    let best =
-      Vset.fold
-        (fun v acc ->
-          let score = measure m (Vset.singleton v) in
-          match acc with
-          | Some (_, s) when N.compare s score >= 0 -> acc
-          | _ -> Some (v, score))
-        omega None
-    in
-    match best with
+    let single = Domain.empty_mask m.frame in
+    let best = ref None in
+    for i = 0 to Domain.size m.frame - 1 do
+      Array.fill single 0 (Array.length single) 0;
+      Domain.add_bit single i;
+      let score = measure m single in
+      match !best with
+      | Some (_, s) when N.compare s score >= 0 -> ()
+      | _ -> best := Some (Domain.value m.frame i, score)
+    done;
+    match !best with
     | Some (v, _) -> v
     | None -> raise (Invalid_mass "empty frame")
 
-  let max_bel m = best_by bel m
-  let max_pls m = best_by pls m
+  let max_bel m = best_by bel_mask m
+  let max_pls m = best_by pls_mask m
 
   let equal m1 m2 =
     Domain.equal m1.frame m2.frame
-    && Vmap.cardinal m1.focals = Vmap.cardinal m2.focals
-    && Vmap.for_all
-         (fun set x -> N.equal x (mass m2 set))
-         m1.focals
+    && count m1 = count m2
+    &&
+    let w = width m1 in
+    let rec go k =
+      k = count m1
+      || N.equal m1.masses.(k) (mass_at m2 m1.sets (k * w)) && go (k + 1)
+    in
+    go 0
 
   (* A total order consistent with structural identity (exact masses, not
      the tolerance of [equal]) so mass functions can key maps — the
-     combination memo-cache relies on it. *)
+     combination memo-cache relies on it. Lexicographic over (set, mass)
+     pairs in focal order, a shorter assignment first: [Map.compare]'s
+     order, which picks the operand order of a cached pair and so the
+     float bits of its result. *)
   let compare m1 m2 =
     let c = Domain.compare m1.frame m2.frame in
-    if c <> 0 then c else Vmap.compare N.compare m1.focals m2.focals
-
+    if c <> 0 then c
+    else
+      let w = width m1 and n1 = count m1 and n2 = count m2 in
+      let rec go k =
+        if k = n1 || k = n2 then Int.compare n1 n2
+        else
+          let c = Domain.compare_at w m1.sets (k * w) m2.sets (k * w) in
+          if c <> 0 then c
+          else
+            let c = N.compare m1.masses.(k) m2.masses.(k) in
+            if c <> 0 then c else go (k + 1)
+      in
+      go 0
 end
 
 module F = Make (Num.Float)

@@ -6,7 +6,15 @@
 
     The module is a functor over the numeric representation: instantiate
     with {!Num.Float} for the runtime library (see {!F}) or with
-    {!Num.Rational} for exact verification of combination results. *)
+    {!Num.Rational} for exact verification of combination results. Both
+    instances hold focal sets the same way: as {!Domain.mask}s over the
+    frame's numbering (value [i] of the frame, in {!Value.compare} order,
+    is bit [i]), one after another in one array, in ascending
+    {!Vset.compare} order, which {!Domain.compare_at} decides without
+    decoding: focals iterate, and float sums accumulate, in that order.
+    {!Vset} is the boundary type: constructors and accessors taking or
+    returning sets convert once per call; hot paths use the [_mask]
+    functions and {!focal_sets}. *)
 
 module type S = sig
   type num
@@ -49,6 +57,11 @@ module type S = sig
       entries are dropped; duplicate focal elements are summed.
       @raise Invalid_mass per the conditions above. *)
 
+  val make_masks : Domain.t -> (Domain.mask * num) list -> t
+  (** {!make} over masks of the frame ({!Domain.words} words each), for
+      loaders that set bits straight from parsed values.
+      @raise Invalid_mass as {!make} does. *)
+
   val make_normalized : Domain.t -> (Vset.t * num) list -> t
   (** Like {!make} but rescales the masses to sum to one (they must be
       non-negative with a positive total). Useful for building evidence
@@ -80,6 +93,14 @@ module type S = sig
 
   val focal_count : t -> int
 
+  val focal_sets : t -> Domain.mask
+  (** Every focal set's mask, back to back in {!focals} order: focal [k]
+      is the {!Domain.words}-word set at offset [k * words]. Shared with
+      the mass function: read it, never write it. *)
+
+  val focal_mass : t -> int -> num
+  (** [focal_mass m k] is the mass of focal [k] (in {!focals} order). *)
+
   val mass : t -> Vset.t -> num
   (** [mass m a] is [m(A)], zero when [A] is not focal. *)
 
@@ -91,6 +112,13 @@ module type S = sig
   val pls : t -> Vset.t -> num
   (** Plausibility: [Pls(A) = Σ_{X ∩ A ≠ ∅} m(X) = 1 - Bel(Ā)] — the degree
       to which the evidence fails to refute [A]. *)
+
+  val bel_mask : t -> Domain.mask -> num
+  (** {!bel} of a set given as a mask of the frame: what a predicate
+      whose constant was masked once calls for every tuple. *)
+
+  val pls_mask : t -> Domain.mask -> num
+  (** {!pls} of a set given as a mask of the frame. *)
 
   val doubt : t -> Vset.t -> num
   (** [doubt m a = bel m (Ω \ a)]. *)

@@ -62,6 +62,8 @@ let of_assoc schema ~key ~cells ~tm =
   make schema ~key ~cells:(List.map lookup (Schema.nonkey schema)) ~tm
 
 let key t = Array.to_list t.key
+let key_at t i = t.key.(i)
+let cell_at t i = t.cells.(i)
 let cells t = Array.to_list t.cells
 let tm t = t.tm
 let with_tm tm t = { t with tm }

@@ -34,6 +34,14 @@ val of_assoc :
 
 val key : t -> Dst.Value.t list
 val cells : t -> cell list
+
+val key_at : t -> int -> Dst.Value.t
+(** [key_at t i] is the i-th key value ({!Schema.key_index} order). *)
+
+val cell_at : t -> int -> cell
+(** [cell_at t i] is the i-th non-key cell ({!Schema.nonkey_index}
+    order). *)
+
 val tm : t -> Dst.Support.t
 val with_tm : Dst.Support.t -> t -> t
 

@@ -267,30 +267,19 @@ let exact_float x =
 
 let add_value buf v = Buffer.add_string buf (Dst.Value.to_string v)
 
-(* A singleton prints as its value, any other set as {v1, v2, …}. *)
-let add_set buf set =
-  match Dst.Vset.to_list set with
-  | [ v ] -> add_value buf v
-  | vs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_value buf v)
-        vs;
-      Buffer.add_char buf '}'
-
+(* Focal sets print straight from their masks: Ω as [~], a singleton as
+   its value, any other set as {v1, v2, …}. *)
 let add_evidence buf e =
-  let omega = Dst.Domain.values (Dst.Mass.F.frame e) in
+  let frame = Dst.Mass.F.frame e in
+  let w = Dst.Domain.words frame and sets = Dst.Mass.F.focal_sets e in
   Buffer.add_char buf '[';
-  List.iteri
-    (fun i (set, x) ->
-      if i > 0 then Buffer.add_string buf "; ";
-      if Dst.Vset.equal set omega then Buffer.add_char buf '~'
-      else add_set buf set;
-      Buffer.add_char buf '^';
-      Buffer.add_string buf (exact_float x))
-    (Dst.Mass.F.focals e);
+  for k = 0 to Dst.Mass.F.focal_count e - 1 do
+    if k > 0 then Buffer.add_string buf "; ";
+    if Dst.Domain.is_full_at frame sets (k * w) then Buffer.add_char buf '~'
+    else Dst.Domain.add_set_at buf frame sets (k * w);
+    Buffer.add_char buf '^';
+    Buffer.add_string buf (exact_float (Dst.Mass.F.focal_mass e k))
+  done;
   Buffer.add_char buf ']'
 
 let add_support buf s =

@@ -14,8 +14,9 @@ let add_if_positive acc t =
 
 let select ?(threshold = Threshold.always) pred r =
   let schema = Relation.schema r in
+  let pred = Predicate.compile schema pred in
   let step tuple =
-    let support = Predicate.eval schema tuple pred in
+    let support = Predicate.eval_compiled pred tuple in
     let tm = Dst.Support.f_tm (Etuple.tm tuple) support in
     if Threshold.satisfies threshold tm then begin
       let out = Etuple.with_tm tm tuple in
@@ -195,11 +196,12 @@ let product a b =
 let join ?(threshold = Threshold.always) pred a b =
   let sa = Relation.schema a and sb = Relation.schema b in
   let schema = Schema.product sa sb in
+  let pred = Predicate.compile_product sa sb pred in
   Relation.fold
     (fun ta acc ->
       Relation.fold
         (fun tb acc ->
-          let support = Predicate.eval_product sa sb ta tb pred in
+          let support = Predicate.eval_pair pred ta tb in
           let paired = Etuple.concat ta tb in
           let tm = Dst.Support.f_tm (Etuple.tm paired) support in
           if Threshold.satisfies threshold tm && Dst.Support.positive tm then begin
@@ -226,6 +228,7 @@ let join_indexed ?(threshold = Threshold.always)
   check_definite sa left_attr;
   check_definite sb right_attr;
   let schema = Schema.product sa sb in
+  let residual = Predicate.compile_product sa sb residual in
   (* Build side: bucket the right operand by its (definite) join value. *)
   let buckets =
     Relation.fold
@@ -255,7 +258,7 @@ let join_indexed ?(threshold = Threshold.always)
           let acc =
             List.fold_left
               (fun acc tb ->
-                let support = Predicate.eval_product sa sb ta tb residual in
+                let support = Predicate.eval_pair residual ta tb in
                 let paired = Etuple.concat ta tb in
                 let tm = Dst.Support.f_tm (Etuple.tm paired) support in
                 if Threshold.satisfies threshold tm && Dst.Support.positive tm

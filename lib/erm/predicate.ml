@@ -41,80 +41,148 @@ let holds cmp x y =
   | Gt -> Dst.Value.compare_ordered x y > 0
   | Ge -> Dst.Value.compare_ordered x y >= 0
 
-(* Focal decomposition of an operand: a definite value is a certain
-   singleton; an evidence set contributes its focal elements. *)
-let focals_of_cell = function
-  | Etuple.Definite v -> [ (Dst.Vset.singleton v, 1.0) ]
-  | Etuple.Evidence e -> Dst.Mass.F.focals e
+(* --- compiled predicates ----------------------------------------------- *)
 
-(* [necessarily] decides whether a focal pair contributes to sn:
-   ∀∀ for the paper's formal definition, ∀∃ for the variant its worked
+(* Where a named attribute's cell sits: in the tuple (the left one of a
+   pair) or the right one, as a key value or a non-key cell. *)
+type slot = { right : bool; key : bool; pos : int }
+
+type operand_c = Slot of slot | Literal of Etuple.cell | Missing of string
+
+type compiled =
+  | C_true
+  | C_is of operand_c * Dst.Vset.t * (Dst.Domain.t * Dst.Domain.mask) option
+      (** The constant masked once, against the attribute's frame. *)
+  | C_theta of bool * cmp * operand_c * operand_c  (** [true]: ∀∃ *)
+  | C_and of compiled * compiled
+  | C_or of compiled * compiled
+  | C_not of compiled
+
+let slot_in ~right schema a =
+  match Schema.find_opt schema a with
+  | None -> None
+  | Some attr ->
+      let name = Attr.name attr in
+      let slot =
+        if Schema.is_key schema name then
+          { right; key = true; pos = Schema.key_index schema name }
+        else { right; key = false; pos = Schema.nonkey_index schema name }
+      in
+      Some (slot, attr)
+
+let compile_with find pred =
+  let field a =
+    match find a with Some (slot, _) -> Slot slot | None -> Missing a
+  in
+  let operand = function Field a -> field a | Const c -> Literal c in
+  let rec go = function
+    | Const_true -> C_true
+    | Is (a, set) ->
+        let masked =
+          Option.bind (find a) (fun (_, attr) ->
+              Option.map
+                (fun d -> (d, Dst.Domain.mask d set))
+                (Attr.domain attr))
+        in
+        C_is (field a, set, masked)
+    | Theta (cmp, x, y) -> C_theta (false, cmp, operand x, operand y)
+    | Theta_fe (cmp, x, y) -> C_theta (true, cmp, operand x, operand y)
+    | And (a, b) -> C_and (go a, go b)
+    | Or (a, b) -> C_or (go a, go b)
+    | Not a -> C_not (go a)
+  in
+  go pred
+
+let compile schema pred = compile_with (slot_in ~right:false schema) pred
+
+let compile_product left_schema right_schema pred =
+  compile_with
+    (fun a ->
+      match slot_in ~right:false left_schema a with
+      | Some _ as found -> found
+      | None -> slot_in ~right:true right_schema a)
+    pred
+
+let cell_of left right = function
+  | Slot { right = r; key; pos } ->
+      let t = if r then right else left in
+      if key then Etuple.Definite (Etuple.key_at t pos)
+      else Etuple.cell_at t pos
+  | Literal c -> c
+  | Missing a -> fail "unknown attribute %s" a
+
+(* A cell's focal decomposition, visited in place: a definite value is a
+   certain singleton, an evidence set contributes its focal elements in
+   order, each read from its mask. *)
+let focal_count = function
+  | Etuple.Definite _ -> 1
+  | Etuple.Evidence e -> Dst.Mass.F.focal_count e
+
+let focal_mass c k =
+  match c with
+  | Etuple.Definite _ -> 1.0
+  | Etuple.Evidence e -> Dst.Mass.F.focal_mass e k
+
+(* Whether some value of focal [k] satisfies [p], in ascending order. *)
+let focal_exists c k p =
+  match c with
+  | Etuple.Definite v -> p v
+  | Etuple.Evidence e ->
+      let d = Dst.Mass.F.frame e in
+      let w = Dst.Domain.words d in
+      Dst.Domain.exists_at d (Dst.Mass.F.focal_sets e) (k * w) p
+
+let focal_for_all c k p = not (focal_exists c k (fun v -> not (p v)))
+
+(* [necessarily] decides whether a focal pair contributes to sn: ∀∀ for
+   the paper's formal definition, ∀∃ (~fe) for the variant its worked
    example uses. The sp side is ∃∃ in both. *)
-let theta_support_with ~necessarily cmp a_focals b_focals =
+let theta_support ~fe cmp a b =
   let sn = ref 0.0 and sp = ref 0.0 in
-  List.iter
-    (fun (x, mx) ->
-      List.iter
-        (fun (y, my) ->
-          let p = mx *. my in
-          if necessarily (holds cmp) x y then sn := !sn +. p;
-          if Dst.Vset.exists_pair (holds cmp) x y then sp := !sp +. p)
-        b_focals)
-    a_focals;
+  for i = 0 to focal_count a - 1 do
+    let mx = focal_mass a i in
+    for j = 0 to focal_count b - 1 do
+      let p = mx *. focal_mass b j in
+      let necessarily =
+        focal_for_all a i (fun x ->
+            (if fe then focal_exists else focal_for_all) b j (holds cmp x))
+      in
+      if necessarily then sn := !sn +. p;
+      if focal_exists a i (fun x -> focal_exists b j (holds cmp x)) then
+        sp := !sp +. p
+    done
+  done;
   Dst.Support.make ~sn:!sn ~sp:!sp
 
-let theta_support cmp a b =
-  theta_support_with ~necessarily:Dst.Vset.forall_pairs cmp a b
-
-let forall_exists p x y =
-  Dst.Vset.for_all (fun a -> Dst.Vset.exists (fun b -> p a b) y) x
-
-let theta_fe_support cmp a b =
-  theta_support_with ~necessarily:forall_exists cmp a b
-
-let is_support cell set =
+let is_support cell set masked =
   match cell with
-  | Etuple.Definite v ->
-      Dst.Support.of_bool (Dst.Vset.mem v set)
-  | Etuple.Evidence e ->
-      let bel, pls = Dst.Mass.F.interval e set in
-      Dst.Support.make ~sn:bel ~sp:pls
+  | Etuple.Definite v -> Dst.Support.of_bool (Dst.Vset.mem v set)
+  | Etuple.Evidence e -> (
+      match masked with
+      | Some (d, mask) when Dst.Domain.equal d (Dst.Mass.F.frame e) ->
+          Dst.Support.make ~sn:(Dst.Mass.F.bel_mask e mask)
+            ~sp:(Dst.Mass.F.pls_mask e mask)
+      | _ ->
+          let bel, pls = Dst.Mass.F.interval e set in
+          Dst.Support.make ~sn:bel ~sp:pls)
 
-let rec eval_with resolve pred =
-  match pred with
-  | Const_true -> Dst.Support.certain
-  | Is (a, set) -> is_support (resolve a) set
-  | Theta (cmp, x, y) ->
-      let cell_of = function Field a -> resolve a | Const c -> c in
-      theta_support cmp
-        (focals_of_cell (cell_of x))
-        (focals_of_cell (cell_of y))
-  | Theta_fe (cmp, x, y) ->
-      let cell_of = function Field a -> resolve a | Const c -> c in
-      theta_fe_support cmp
-        (focals_of_cell (cell_of x))
-        (focals_of_cell (cell_of y))
-  | And (a, b) ->
-      Dst.Support.conjunction (eval_with resolve a) (eval_with resolve b)
-  | Or (a, b) ->
-      Dst.Support.disjunction (eval_with resolve a) (eval_with resolve b)
-  | Not a -> Dst.Support.negation (eval_with resolve a)
-
-let eval schema tuple pred =
-  let resolve a =
-    match Schema.find_opt schema a with
-    | None -> fail "unknown attribute %s" a
-    | Some _ -> Etuple.cell schema tuple a
+let eval_pair c left right =
+  let cell = cell_of left right in
+  let rec go = function
+    | C_true -> Dst.Support.certain
+    | C_is (a, set, masked) -> is_support (cell a) set masked
+    | C_theta (fe, cmp, x, y) -> theta_support ~fe cmp (cell x) (cell y)
+    | C_and (a, b) -> Dst.Support.conjunction (go a) (go b)
+    | C_or (a, b) -> Dst.Support.disjunction (go a) (go b)
+    | C_not a -> Dst.Support.negation (go a)
   in
-  eval_with resolve pred
+  go c
+
+let eval_compiled c t = eval_pair c t t
+let eval schema tuple pred = eval_compiled (compile schema pred) tuple
 
 let eval_product left_schema right_schema left right pred =
-  let resolve a =
-    if Schema.mem left_schema a then Etuple.cell left_schema left a
-    else if Schema.mem right_schema a then Etuple.cell right_schema right a
-    else fail "unknown attribute %s" a
-  in
-  eval_with resolve pred
+  eval_pair (compile_product left_schema right_schema pred) left right
 
 let attrs_used pred =
   let rec go acc = function

@@ -64,6 +64,25 @@ val eval_product : Schema.t -> Schema.t -> Etuple.t -> Etuple.t -> t -> Dst.Supp
     from each operand without materializing the product tuple. Attribute
     names are resolved in the left schema first. *)
 
+type compiled
+(** A predicate resolved against its schema(s) once, before a scan:
+    attribute names become tuple positions, and the constant of every
+    [Is] atom on an evidential attribute is masked against the
+    attribute's frame ({!Dst.Domain.mask}), so each tuple costs one
+    {!Dst.Mass.S.bel_mask}/[pls_mask] pass and no set conversion.
+    Unknown attributes still raise {!Predicate_error} when evaluated,
+    as {!eval} does. *)
+
+val compile : Schema.t -> t -> compiled
+val compile_product : Schema.t -> Schema.t -> t -> compiled
+(** For join conditions: names resolve in the left schema first. *)
+
+val eval_compiled : compiled -> Etuple.t -> Dst.Support.t
+(** {!eval} of a predicate from {!compile}; bit-identical results. *)
+
+val eval_pair : compiled -> Etuple.t -> Etuple.t -> Dst.Support.t
+(** {!eval_product} of a predicate from {!compile_product}. *)
+
 val attrs_used : t -> string list
 (** Attribute names referenced, without duplicates. *)
 

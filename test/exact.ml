@@ -8,13 +8,9 @@ let support s1 s2 =
   Float.equal (Dst.Support.sn s1) (Dst.Support.sn s2)
   && Float.equal (Dst.Support.sp s1) (Dst.Support.sp s2)
 
-let evidence e1 e2 =
-  let f1 = Dst.Mass.F.focals e1 and f2 = Dst.Mass.F.focals e2 in
-  List.length f1 = List.length f2
-  && List.for_all2
-       (fun (set1, m1) (set2, m2) ->
-         Dst.Vset.equal set1 set2 && Float.equal m1 m2)
-       f1 f2
+(* Same frame, focal sets and bit-identical masses: [Mass.F.compare]
+   compares masses with Float.compare. *)
+let evidence e1 e2 = Dst.Mass.F.compare e1 e2 = 0
 
 let cell c1 c2 =
   match (c1, c2) with

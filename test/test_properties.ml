@@ -335,12 +335,14 @@ let plan_props =
 
 module Mq = Dst.Mass.Make (Dst.Num.Rational)
 
-let dyadic_evidence seed =
+let dom70 = G.domain ~size:70 "w"
+
+let dyadic_evidence dom seed =
   (* Random masses in 64ths over random focal sets: exactly convertible
      to rationals, so the two Mass instances must agree to rounding. *)
   let rng = R.create (seed + 909091) in
   let sets =
-    List.sort_uniq Vs.compare (List.init 3 (fun _ -> G.vset rng dom8 ~max_size:3))
+    List.sort_uniq Vs.compare (List.init 3 (fun _ -> G.vset rng dom ~max_size:3))
   in
   let n = List.length sets in
   let raw = List.init (n - 1) (fun _ -> 1 + R.int rng 16) in
@@ -348,27 +350,67 @@ let dyadic_evidence seed =
   let weights = raw @ [ 64 - used ] in
   List.map2 (fun set w -> (set, w)) sets weights
 
+let dyadic_pair dom s =
+  let float e = M.make dom (List.map (fun (set, w) -> (set, float_of_int w /. 64.0)) e) in
+  let exact e = Mq.make dom (List.map (fun (set, w) -> (set, Qarith.Q.make w 64)) e) in
+  let e1 = dyadic_evidence dom s and e2 = dyadic_evidence dom (s + 1) in
+  ((float e1, float e2), (exact e1, exact e2))
+
+(* The workload's own shape: Gen.evidence's four focal sets and Ω
+   floor, with each mass rounded to 256ths (the last takes the rest) so
+   that the bounded rationals of Qarith stay exact. *)
+let generated_pair dom s =
+  let rng = R.create (s + 31337) in
+  let shape () =
+    let focals = M.focals (G.evidence rng ~focals:4 ~max_focal_size:3 dom) in
+    let n = List.length focals in
+    let weights =
+      List.mapi
+        (fun i (_, x) ->
+          if i < n - 1 then 1 + int_of_float (x *. float_of_int (256 - n)) else 0)
+        focals
+    in
+    let used = List.fold_left ( + ) 0 weights in
+    List.mapi
+      (fun i ((set, _), w) -> (set, if i < n - 1 then w else 256 - used))
+      (List.combine focals weights)
+  in
+  let e1 = shape () and e2 = shape () in
+  let float e = M.make dom (List.map (fun (set, w) -> (set, float_of_int w /. 256.0)) e) in
+  let exact e = Mq.make dom (List.map (fun (set, w) -> (set, Qarith.Q.make w 256)) e) in
+  ((float e1, float e2), (exact e1, exact e2))
+
+(* The stated bound: every mass and κ within 1e-9 of the exact result
+   (Num.float_tolerance), over identical focal-set lists. *)
+let oracle_agrees ((f1, f2), (q1, q2)) =
+  let close x q = Float.abs (x -. Qarith.Q.to_float q) <= 1e-9 in
+  match (M.combine_opt f1 f2, Mq.combine_opt q1 q2) with
+  | None, None -> true
+  | Some (fc, fk), Some (qc, qk) ->
+      let ff = M.focals fc and qf = Mq.focals qc in
+      close fk qk
+      && List.length ff = List.length qf
+      && List.for_all2 (fun (s1, x) (s2, q) -> Vs.equal s1 s2 && close x q) ff qf
+  | Some _, None | None, Some _ -> false
+
 let differential_props =
   [ prop "float and rational combination agree" ~count:150 seed_arb (fun s ->
-        let e1 = dyadic_evidence s and e2 = dyadic_evidence (s + 1) in
-        let f1 = M.make dom8 (List.map (fun (set, w) -> (set, float_of_int w /. 64.0)) e1) in
-        let f2 = M.make dom8 (List.map (fun (set, w) -> (set, float_of_int w /. 64.0)) e2) in
-        let q1 = Mq.make dom8 (List.map (fun (set, w) -> (set, Qarith.Q.make w 64)) e1) in
-        let q2 = Mq.make dom8 (List.map (fun (set, w) -> (set, Qarith.Q.make w 64)) e2) in
-        match (M.combine_opt f1 f2, Mq.combine_opt q1 q2) with
-        | None, None -> true
-        | Some (fc, fk), Some (qc, qk) ->
-            Float.abs (fk -. Qarith.Q.to_float qk) <= 1e-9
-            && List.for_all
-                 (fun (set, x) ->
-                   Float.abs (x -. Qarith.Q.to_float (Mq.mass qc set)) <= 1e-9)
-                 (M.focals fc)
-        | Some _, None | None, Some _ -> false);
+        oracle_agrees (dyadic_pair dom8 s));
+    prop "float and rational combination agree (70-value frame)" ~count:150
+      seed_arb (fun s -> oracle_agrees (dyadic_pair dom70 s));
+    prop "float and rational agree on generated four-focal evidence"
+      ~count:150 seed_arb (fun s -> oracle_agrees (generated_pair dom8 s));
+    prop "float and rational agree on generated four-focal evidence (70-value frame)"
+      ~count:150 seed_arb (fun s -> oracle_agrees (generated_pair dom70 s));
     prop "float and rational Bel/Pls agree" ~count:150 seed_arb (fun s ->
-        let e = dyadic_evidence s in
-        let f = M.make dom8 (List.map (fun (set, w) -> (set, float_of_int w /. 64.0)) e) in
-        let q = Mq.make dom8 (List.map (fun (set, w) -> (set, Qarith.Q.make w 64)) e) in
+        let (f, _), (q, _) = dyadic_pair dom8 s in
         let set = gen_set (s + 5) in
+        Float.abs (M.bel f set -. Qarith.Q.to_float (Mq.bel q set)) <= 1e-12
+        && Float.abs (M.pls f set -. Qarith.Q.to_float (Mq.pls q set)) <= 1e-12);
+    prop "float and rational Bel/Pls agree (70-value frame)" ~count:150 seed_arb
+      (fun s ->
+        let (f, _), (q, _) = generated_pair dom70 s in
+        let set = G.vset (R.create (s + 7919)) dom70 ~max_size:20 in
         Float.abs (M.bel f set -. Qarith.Q.to_float (Mq.bel q set)) <= 1e-12
         && Float.abs (M.pls f set -. Qarith.Q.to_float (Mq.pls q set)) <= 1e-12) ]
 
