@@ -1,51 +1,73 @@
+(* The policy key comes first: entries computed under different rules
+   or κ-thresholds can never alias, however equal their operands. *)
 module Key = struct
-  (* The policy key comes first: entries computed under different rules
-     or κ-thresholds can never alias, however equal their operands. *)
-  type t = string * Mass.F.t * Mass.F.t
+  type t = { policy : string; a : Mass.F.t; b : Mass.F.t }
 
-  let compare (p1, a1, b1) (p2, a2, b2) =
-    let c = String.compare p1 p2 in
-    if c <> 0 then c
-    else
-      let c = Mass.F.compare a1 a2 in
-      if c <> 0 then c else Mass.F.compare b1 b2
+  let equal k1 k2 =
+    String.equal k1.policy k2.policy
+    && Mass.F.compare k1.a k2.a = 0
+    && Mass.F.compare k1.b k2.b = 0
+
+  let hash k =
+    (((Hashtbl.hash k.policy * 65599) + Mass.F.hash k.a) * 65599)
+    + Mass.F.hash k.b
 end
 
-module Pmap = Map.Make (Key)
+module Table = Hashtbl.Make (Key)
 
 type t = {
-  mutable table : Mass.F.outcome Pmap.t;
+  table : Mass.F.outcome Table.t;
   mutable hits : int;
   mutable misses : int;
+  (* The last policy looked up and its key: a run keeps one policy, and
+     [Rule.policy_key] formats a string. Policies are immutable, so
+     physical equality is a sound test. *)
+  mutable last_policy : Rule.policy;
+  mutable last_key : string;
 }
 
-let create () = { table = Pmap.empty; hits = 0; misses = 0 }
+(* Small: sharded runs create one cache per shard per execute. *)
+let create () =
+  { table = Table.create 16;
+    hits = 0;
+    misses = 0;
+    last_policy = Rule.dempster;
+    last_key = Rule.policy_key Rule.dempster }
 
 let hits c = c.hits
 let misses c = c.misses
-let size c = Pmap.cardinal c.table
+let size c = Table.length c.table
 
 let reset c =
   if Obs.Log.on () then
     Obs.Log.record ~severity:Obs.Log.Debug
       ~fields:
-        [ ("entries", string_of_int (Pmap.cardinal c.table));
+        [ ("entries", string_of_int (Table.length c.table));
           ("hits", string_of_int c.hits);
           ("misses", string_of_int c.misses) ]
       Obs.Log.Cache_evict "combine cache dropped";
-  c.table <- Pmap.empty;
+  Table.reset c.table;
   c.hits <- 0;
   c.misses <- 0
 
-(* Every rule here is commutative, so (m1, m2) and (m2, m1) share one
-   entry under a canonical ordering of the pair. *)
-let canonical m1 m2 = if Mass.F.compare m1 m2 <= 0 then (m1, m2) else (m2, m1)
+let policy_key c policy =
+  if policy != c.last_policy then begin
+    c.last_policy <- policy;
+    c.last_key <- Rule.policy_key policy
+  end;
+  c.last_key
 
+(* Every rule here is commutative, so (m1, m2) and (m2, m1) share one
+   entry under a canonical ordering of the pair. The outcome stored is
+   the one computed in the caller's operand order on the first miss. *)
 let combine_policy ?policy c m1 m2 =
   let policy = match policy with Some p -> p | None -> Rule.current () in
-  let a, b = canonical m1 m2 in
-  let key = (Rule.policy_key policy, a, b) in
-  match Pmap.find_opt key c.table with
+  let pkey = policy_key c policy in
+  let key =
+    if Mass.F.compare m1 m2 <= 0 then { Key.policy = pkey; a = m1; b = m2 }
+    else { Key.policy = pkey; a = m2; b = m1 }
+  in
+  match Table.find_opt c.table key with
   | Some outcome ->
       c.hits <- c.hits + 1;
       Obs.Metrics.incr "combine_cache.hit";
@@ -62,7 +84,7 @@ let combine_policy ?policy c m1 m2 =
       c.misses <- c.misses + 1;
       Obs.Metrics.incr "combine_cache.miss";
       let outcome = Mass.F.combine_policy ~policy m1 m2 in
-      c.table <- Pmap.add key outcome c.table;
+      Table.add c.table key outcome;
       outcome
 
 let combine_policy_exn ?policy c m1 m2 =

@@ -15,11 +15,14 @@
     under another — switching the session rule mid-run is always safe
     with a warm cache.
 
-    Lookups use {!Mass.S.compare}'s structural order: frames compare by
-    identity first and focal sets as mask words, so a key comparison
-    walks no value trees. Operands within float tolerance of each other
-    but not bit-equal occupy separate entries — a duplicate entry costs
-    memory, never correctness.
+    Entries live in a hash table: a lookup hashes the pair with
+    {!Mass.S.hash} (frame size, focal masks and masses — never the
+    frame's name) and confirms a match with {!Mass.S.compare}, so a hit
+    costs one hash and two comparisons whatever the cache's size.
+    Operands within float tolerance of each other but not bit-equal
+    occupy separate entries — a duplicate entry costs memory, never
+    correctness. The policy's key string is formatted once per policy
+    value, not per lookup: the cache remembers the last policy it saw.
 
     The cache is mutable and unsynchronized; share one per evaluation
     context, not across domains. *)

@@ -276,6 +276,11 @@ module type S = sig
       bit-equal compare as different, which only costs a duplicate cache
       entry, never a wrong result. *)
 
+  val hash : t -> int
+  (** A hash consistent with {!compare}: [compare a b = 0] implies
+      [hash a = hash b]. Reads the frame's size (never its name), the
+      focal masks and the masses; allocates nothing. *)
+
   val pp : Format.formatter -> t -> unit
   (** Paper notation: [[si^0.5; {hu, si}^0.33; ~^0.17]] where [~]
       denotes Ω. *)

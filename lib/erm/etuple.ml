@@ -96,6 +96,14 @@ let key_equal a b =
   Array.length a.key = Array.length b.key
   && Array.for_all2 Dst.Value.equal a.key b.key
 
+let has_key t k =
+  let n = Array.length t.key in
+  let rec go i = function
+    | [] -> i = n
+    | v :: rest -> i < n && Dst.Value.equal t.key.(i) v && go (i + 1) rest
+  in
+  go 0 k
+
 let equal a b =
   key_equal a b
   && Array.length a.cells = Array.length b.cells

@@ -66,6 +66,9 @@ val equal : t -> t -> bool
 
 val key_equal : t -> t -> bool
 
+val has_key : t -> Dst.Value.t list -> bool
+(** [has_key t k] iff [key t] equals [k], without building the list. *)
+
 val combine : Schema.t -> t -> t -> t
 (** Attribute-wise Dempster combination of two key-matched tuples — the
     merge step of extended union (§3.2). Evidential cells are combined

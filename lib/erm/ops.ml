@@ -56,26 +56,18 @@ let check_union_compatible a b =
             (Schema.name (Relation.schema b))))
 
 (* Shared union skeleton: [merge] decides what happens to key-matched
-   pairs (raise, or record a conflict and drop). *)
+   pairs (raise, or record a conflict and drop). Relation.merge calls it
+   in ascending key order, keeps single-source tuples as they are and
+   drops sn = 0 results. *)
 let union_with merge a b =
   check_union_compatible a b;
-  let only_a =
-    Relation.fold
-      (fun t acc ->
-        if Relation.mem b (Etuple.key t) then acc else t :: acc)
-      a []
-  in
-  let rest =
-    Relation.fold
-      (fun t acc ->
-        match Relation.find_opt a (Etuple.key t) with
-        | None -> t :: acc
-        | Some ta -> (
-            match merge ta t with Some m -> m :: acc | None -> acc))
-      b []
-  in
-  List.fold_left add_if_positive (Relation.empty (Relation.schema a))
-    (only_a @ rest)
+  Relation.merge
+    (fun x y ->
+      match (x, y) with
+      | Some ta, Some tb -> merge ta tb
+      | Some t, None | None, Some t -> Some t
+      | None, None -> None)
+    (Relation.schema a) a b
 
 let merged_with_lineage x y m =
   if Obs.Provenance.on () then Lineage.record_merge x y m;
@@ -320,10 +312,10 @@ let difference a b =
 let intersection ?policy a b =
   check_union_compatible a b;
   let schema = Relation.schema a in
-  Relation.fold
-    (fun t acc ->
-      match Relation.find_opt b (Etuple.key t) with
-      | Some u -> (
+  Relation.merge
+    (fun x y ->
+      match (x, y) with
+      | Some t, Some u -> (
           match
             Etuple.combine_with
               ~combine_evidence:(Dst.Mass.F.combine_policy_exn ?policy)
@@ -331,7 +323,7 @@ let intersection ?policy a b =
           with
           | m ->
               if Obs.Provenance.on () then Lineage.record_merge t u m;
-              add_if_positive acc m
-          | exception Dst.Mass.F.Quarantined_cell _ -> acc)
-      | None -> acc)
-    a (Relation.empty schema)
+              Some m
+          | exception Dst.Mass.F.Quarantined_cell _ -> None)
+      | Some _, None | None, Some _ | None, None -> None)
+    schema a b

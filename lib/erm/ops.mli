@@ -54,7 +54,7 @@ val union_cached :
     memo-cache. Bit-identical to {!union} under the same policy (the
     cache replays outcomes verbatim, and its keys include the policy);
     repeated merges of the same evidence pairs — the dominant cost of
-    the Figure-1 pipeline — become map lookups. Raises exactly as
+    the Figure-1 pipeline — become hash-table lookups. Raises exactly as
     {!union} does. *)
 
 type conflict = {

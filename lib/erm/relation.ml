@@ -18,16 +18,18 @@ let add_unchecked r tuple =
   if Kmap.mem key r.tuples then raise (Duplicate_key key)
   else { r with tuples = Kmap.add key tuple r.tuples }
 
+let pp_key =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+    Dst.Value.pp
+
 let add r tuple =
   if not (Dst.Support.positive (Etuple.tm tuple)) then
     raise
       (Relation_error
          (Format.asprintf
             "CWA_ER violation: tuple %a has sn = 0 and cannot be stored"
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-               Dst.Value.pp)
-            (Etuple.key tuple)))
+            pp_key (Etuple.key tuple)))
   else add_unchecked r tuple
 
 let of_tuples schema ts = List.fold_left add (empty schema) ts
@@ -57,16 +59,38 @@ let filter p r = { r with tuples = Kmap.filter (fun _ t -> p t) r.tuples }
 let for_all p r = Kmap.for_all (fun _ t -> p t) r.tuples
 let exists p r = Kmap.exists (fun _ t -> p t) r.tuples
 
+(* A mapped or merged tuple must sit under the key it came from: the
+   structural passes below rebuild the map in place, so a moved key
+   would leave the map out of order. *)
+let check_key k t' =
+  if not (Etuple.has_key t' k) then
+    raise
+      (Relation_error
+         (Format.asprintf "key (%a) changed to (%a) by a key-preserving map"
+            pp_key k pp_key (Etuple.key t')))
+
+(* Results of the extended operators keep only sn > 0 tuples: the
+   closure property of §3.6. *)
+let keep k = function
+  | Some t' when Dst.Support.positive (Etuple.tm t') ->
+      check_key k t';
+      Some t'
+  | Some _ | None -> None
+
+(* [Kmap.filter_map] calls its function in ascending key order. *)
 let map_tuples f schema r =
-  fold
-    (fun t acc ->
-      match f t with
-      | Some t' when Dst.Support.positive (Etuple.tm t') ->
-          (* Results of the extended operators keep only sn > 0 tuples:
-             the closure property of §3.6. *)
-          add acc t'
-      | Some _ | None -> acc)
-    r (empty schema)
+  { schema; tuples = Kmap.filter_map (fun k t -> keep k (f t)) r.tuples }
+
+(* [Kmap.merge] calls its function in post-order, so it only pairs the
+   operands; [f] runs in the ascending [filter_map] pass. *)
+let merge f schema a b =
+  let pairs = Kmap.merge (fun _ x y -> Some (x, y)) a.tuples b.tuples in
+  { schema; tuples = Kmap.filter_map (fun k (x, y) -> keep k (f x y)) pairs }
+
+let disjoint_union a b =
+  { a with
+    tuples = Kmap.union (fun k _ _ -> raise (Duplicate_key k)) a.tuples b.tuples
+  }
 
 let equal a b =
   Schema.union_compatible a.schema b.schema

@@ -48,6 +48,9 @@ val tuples : t -> Etuple.t list
 val fold : (Etuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Etuple.t -> unit) -> t -> unit
 val filter : (Etuple.t -> bool) -> t -> t
+(** Keeps the tuples satisfying the predicate, calling it once per tuple
+    in increasing key order. *)
+
 val for_all : (Etuple.t -> bool) -> t -> bool
 val exists : (Etuple.t -> bool) -> t -> bool
 
@@ -55,7 +58,38 @@ val map_tuples : (Etuple.t -> Etuple.t option) -> Schema.t -> t -> t
 (** Rebuilds a relation under a (possibly different) schema from the
     mapped tuples; [None] drops the tuple. Tuples with [sn = 0] after the
     map are dropped too, preserving CWA_ER — this is how the operators
-    guarantee the closure property. *)
+    guarantee the closure property.
+
+    The map is {e key-preserving}: a kept tuple must have the key of the
+    tuple it came from, which lets the result reuse the key order in one
+    O(n) pass instead of re-inserting. [f] is called exactly once per
+    tuple, in increasing key order — seeded callers such as
+    [Federation.Fault.corrupt] draw their random numbers in that order.
+    @raise Relation_error if a kept tuple's key differs from its
+    input's. *)
+
+val merge :
+  (Etuple.t option -> Etuple.t option -> Etuple.t option) ->
+  Schema.t ->
+  t ->
+  t ->
+  t
+(** [merge f schema a b] is the key-ordered structural merge behind the
+    binary operators: for every key bound in [a] or [b], [f] receives
+    the tuple of each side ([None] where the key is unbound; never both
+    [None]) and returns the result's tuple for that key, or [None] to
+    drop it. [f] is called exactly once per key, in increasing key
+    order, so side effects (lineage records, conflict lists) happen in
+    key order. As for {!map_tuples}, results with [sn = 0] are dropped
+    and a kept tuple must carry the key it was called for. Nothing is
+    re-inserted: the operands' key-ordered maps are paired structurally
+    and the result is built in the same ascending pass that calls [f].
+    @raise Relation_error if a kept tuple's key differs from its key. *)
+
+val disjoint_union : t -> t -> t
+(** The union of two relations with disjoint keys, under the first's
+    schema, built structurally rather than by re-inserting.
+    @raise Duplicate_key if a key is bound in both. *)
 
 val equal : t -> t -> bool
 (** Same schema (union-compatible, names ignored) and equal tuple sets. *)

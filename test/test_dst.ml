@@ -575,6 +575,101 @@ let test_combine_allocation () =
           size words bound)
     [ (8, 285. *. 1.25); (70, 331. *. 1.25) ]
 
+(* --- Mass.S.hash and the hash-keyed Combine_cache ------------------ *)
+
+(* [compare a b = 0] must imply equal hashes, or the cache would file
+   one pair under two buckets. Equal masses are built here the ways the
+   library builds them apart: from permuted entry lists, over frames with
+   the same values under different names, and over two-word frames. *)
+let hash_prop name law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:300 (QCheck.int_range 0 1_000_000) law)
+
+let hash_frames =
+  [ (Workload.Gen.domain ~size:8 "h", Workload.Gen.domain ~size:8 "h-renamed");
+    (frame70, Workload.Gen.domain ~size:70 "wide-renamed") ]
+
+let equal_pair seed =
+  let rng = Workload.Rng.create seed in
+  let d, d' = Workload.Rng.pick rng hash_frames in
+  let m = Workload.Gen.evidence rng ~focals:5 ~max_focal_size:4 d in
+  let m' = M.make d' (Workload.Rng.shuffle rng (M.focals m)) in
+  (m, m')
+
+let hash_props =
+  [ hash_prop "hash agrees with compare on rebuilt equal masses" (fun s ->
+        let m, m' = equal_pair s in
+        M.compare m m' = 0 && M.hash m = M.hash m');
+    hash_prop "compare = 0 implies equal hashes on colliding draws"
+      (fun s ->
+        (* Two focal sets out of three, with one of two splits: equal
+           draws are common, and each frame pair has a renamed twin. *)
+        let rng = Workload.Rng.create s in
+        let d, d' = Workload.Rng.pick rng hash_frames in
+        let draw dom =
+          let v i = Vs.singleton (D.value dom i) in
+          let sets = [ v 0; v 1; Vs.union (v 0) (v 1) ] in
+          let w = Workload.Rng.pick rng [ 0.25; 0.5 ] in
+          match Workload.Rng.sample rng 2 sets with
+          | [ x; y ] -> M.make dom [ (x, w); (y, 1.0 -. w) ]
+          | _ -> assert false
+        in
+        let m = draw d and m' = draw (if Workload.Rng.bool rng then d else d') in
+        M.compare m m' <> 0 || M.hash m = M.hash m') ]
+
+let test_hash_allocates_nothing () =
+  let ms = List.init 100 (fun i -> fst (equal_pair i)) in
+  let before = Gc.minor_words () in
+  List.iter (fun m -> ignore (Sys.opaque_identity (M.hash m))) ms;
+  let words = Gc.minor_words () -. before in
+  if words > 10. then Alcotest.failf "%.0f minor words for 100 hashes" words
+
+(* Within tolerance (M.equal) but not bit-equal: two entries, never a
+   hit served across them. *)
+let test_cache_tolerance_entries () =
+  let d = Workload.Gen.domain ~size:4 "tol" in
+  let v0 = Vs.singleton (V.string "v0") in
+  let a = M.make d [ (v0, 0.5); (D.values d, 0.5) ] in
+  let a' = M.make d [ (v0, 0.5 +. 1e-13); (D.values d, 0.5 -. 1e-13) ] in
+  let b = M.simple_support d (Vs.of_list [ V.string "v0"; V.string "v1" ]) 0.3 in
+  Alcotest.(check bool) "equal within tolerance" true (M.equal a a');
+  Alcotest.(check bool) "not bit-equal" true (M.compare a a' <> 0);
+  let c = Dst.Combine_cache.create () in
+  ignore (Dst.Combine_cache.combine c a b);
+  ignore (Dst.Combine_cache.combine c a' b);
+  Alcotest.(check int) "two entries" 2 (Dst.Combine_cache.size c);
+  Alcotest.(check int) "two misses" 2 (Dst.Combine_cache.misses c);
+  Alcotest.(check int) "no hit" 0 (Dst.Combine_cache.hits c)
+
+(* The cache keys each policy once and reuses the key while the same
+   policy value keeps coming; a different κ₀ must still miss. *)
+let test_cache_policy_kappa0 () =
+  let rng = Workload.Rng.create 11 in
+  let a = Workload.Gen.evidence rng ~focals:3 meta_dom in
+  let b = Workload.Gen.evidence rng ~focals:3 meta_dom in
+  let policy kappa0 =
+    Dst.Rule.make
+      ~escalation:(Dst.Rule.escalate ~kappa0 Dst.Rule.Quarantine)
+      Dst.Rule.Dempster
+  in
+  let p1 = policy 0.25 and p2 = policy 0.75 in
+  let c = Dst.Combine_cache.create () in
+  let run p = ignore (Dst.Combine_cache.combine_policy ~policy:p c a b) in
+  run p1;
+  run p1;
+  Alcotest.(check int) "warm under the first policy" 1
+    (Dst.Combine_cache.hits c);
+  run p2;
+  Alcotest.(check int) "no hit across kappa0" 1 (Dst.Combine_cache.hits c);
+  Alcotest.(check int) "one entry per policy" 2 (Dst.Combine_cache.size c);
+  run p1;
+  run p2;
+  run (policy 0.75);
+  Alcotest.(check int) "each policy hits its own entry" 4
+    (Dst.Combine_cache.hits c);
+  Alcotest.(check int) "misses only when first seen" 2
+    (Dst.Combine_cache.misses c)
+
 let () =
   Alcotest.run "dst"
     [ ( "value",
@@ -629,4 +724,12 @@ let () =
             test_measures_dissonance;
           Alcotest.test_case "pignistic distance" `Quick
             test_measures_distance ] );
+      ( "mass-hash",
+        hash_props
+        @ [ Alcotest.test_case "hash allocates nothing" `Quick
+              test_hash_allocates_nothing;
+            Alcotest.test_case "tolerance-equal masses: two entries" `Quick
+              test_cache_tolerance_entries;
+            Alcotest.test_case "no hit across kappa0" `Quick
+              test_cache_policy_kappa0 ] );
       ("metamorphic", metamorphic_props) ]

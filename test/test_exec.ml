@@ -119,9 +119,22 @@ let shard_disjoint_cover () =
             |> List.filter (fun p -> Erm.Relation.mem p key)
           in
           Alcotest.(check int) "exactly one shard holds each key" 1
-            (List.length holders))
-        rel)
+            (List.length holders);
+          let home = Query.Shard.index ~shards (Erm.Lineage.key_string t) in
+          Alcotest.(check bool) "the key's digest picks its shard" true
+            (Erm.Relation.mem parts.(home) key))
+        rel;
+      Alcotest.(check bool) "merge restores the relation" true
+        (Erm.Relation.equal rel (Query.Shard.merge parts)))
     [ 1; 3; 8 ]
+
+let shard_merge_overlap () =
+  let rel = G.relation (R.create 13) ~size:20 Q.schema in
+  let parts = Query.Shard.by_key ~shards:2 rel in
+  Alcotest.(check bool) "a key in two shards raises Duplicate_key" true
+    (match Query.Shard.merge [| parts.(0); parts.(1); parts.(0) |] with
+    | _ -> false
+    | exception Erm.Relation.Duplicate_key _ -> true)
 
 let shard_deterministic () =
   let rel = G.relation (R.create 12) ~size:60 Q.schema in
@@ -491,7 +504,8 @@ let () =
           Alcotest.test_case "edge sizes" `Quick pool_edges ] );
       ( "shard",
         [ Alcotest.test_case "disjoint cover" `Quick shard_disjoint_cover;
-          Alcotest.test_case "deterministic" `Quick shard_deterministic ] );
+          Alcotest.test_case "deterministic" `Quick shard_deterministic;
+          Alcotest.test_case "merge overlap raises" `Quick shard_merge_overlap ] );
       ( "determinism",
         [ Alcotest.test_case "results byte-identical across worker counts"
             `Quick results_byte_identical;

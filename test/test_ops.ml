@@ -305,6 +305,209 @@ let test_intersect_keys () =
   let keys = Erm.Ops.intersect_keys boxes other_boxes in
   Alcotest.(check int) "one shared key" 1 (List.length keys)
 
+(* --- Relation.merge and map_tuples against association lists ------ *)
+
+(* Each side is an ascending association list from key to tuple over the
+   keys k00 … k15, about half of them bound. Roughly one tuple in six is
+   a complement tuple (sn = 0), so the relations are built with the
+   [_unchecked] constructor. A [hostile] side also disagrees on definite
+   cells and drops Gen's Ω floor, so pairs can conflict totally; the
+   others only trip the quarantine policy below. *)
+module Rng = Workload.Rng
+
+let dframe = Workload.Gen.domain ~size:3 "dc"
+
+let dschema =
+  Erm.Schema.make ~name:"diff"
+    ~key:[ Erm.Attr.definite "k" "string" ]
+    ~nonkey:[ Erm.Attr.definite "a" "string"; Erm.Attr.evidential "e" dframe ]
+
+let gen_side rng ~hostile =
+  List.filter_map
+    (fun i ->
+      if Rng.bool rng then None
+      else
+        let key = Printf.sprintf "k%02d" i in
+        let tm =
+          if Rng.int rng 6 = 0 then S.make ~sn:0.0 ~sp:(0.2 +. Rng.float rng 0.8)
+          else Workload.Gen.support rng
+        in
+        let a = if hostile && Rng.int rng 4 = 0 then "y" else "x" in
+        let e =
+          Workload.Gen.evidence rng ~focals:2 ~max_focal_size:2
+            ~omega_floor:(if hostile then 0.0 else 0.05)
+            dframe
+        in
+        Some
+          ( key,
+            Erm.Etuple.make dschema ~key:[ V.string key ]
+              ~cells:[ Erm.Etuple.Definite (V.string a); Erm.Etuple.Evidence e ]
+              ~tm ))
+    (List.init 16 Fun.id)
+
+let gen_sides ~hostile seed =
+  let rng = Rng.create seed in
+  let a = gen_side rng ~hostile in
+  (a, gen_side rng ~hostile)
+
+let relation_of side =
+  Erm.Relation.of_tuples_unchecked dschema
+    (Rng.shuffle (Rng.create (List.length side)) (List.map snd side))
+
+let quarantine =
+  Dst.Rule.make
+    ~escalation:(Dst.Rule.escalate ~kappa0:0.3 Dst.Rule.Quarantine)
+    Dst.Rule.Dempster
+
+(* The naive reference: visit every key of either side in ascending
+   order, apply [f] to its two optional tuples and keep sn > 0 results. *)
+let reference f a b =
+  List.sort_uniq String.compare (List.map fst a @ List.map fst b)
+  |> List.filter_map (fun k ->
+         match f (List.assoc_opt k a) (List.assoc_opt k b) with
+         | Some t when S.positive (Erm.Etuple.tm t) -> Some t
+         | Some _ | None -> None)
+
+let merge_pair x y =
+  match
+    Erm.Etuple.combine_with
+      ~combine_evidence:(M.combine_policy_exn ~policy:quarantine)
+      dschema x y
+  with
+  | m -> Some m
+  | exception M.Quarantined_cell _ -> None
+
+let union_ref =
+  reference (fun x y ->
+      match (x, y) with
+      | Some x, Some y -> merge_pair x y
+      | Some t, None | None, Some t -> Some t
+      | None, None -> None)
+
+let same_tuples r expected =
+  List.equal Erm.Etuple.equal (Erm.Relation.tuples r) expected
+
+let algebra_prop name law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:200 (QCheck.int_range 0 1_000_000) law)
+
+let ascending keys = List.sort compare keys = keys
+
+let algebra_props =
+  [ algebra_prop "union, union_cached = association-list union" (fun seed ->
+        let a, b = gen_sides ~hostile:false seed in
+        let ra = relation_of a and rb = relation_of b in
+        let expected = union_ref a b in
+        let cache = Dst.Combine_cache.create () in
+        let cached () =
+          Erm.Ops.union_cached ~cache ~policy:quarantine ra rb
+        in
+        same_tuples (Erm.Ops.union ~policy:quarantine ra rb) expected
+        && same_tuples (cached ()) expected
+        && same_tuples (cached ()) expected);
+    algebra_prop "intersection = association-list intersection" (fun seed ->
+        let a, b = gen_sides ~hostile:false seed in
+        let expected =
+          reference
+            (fun x y ->
+              match (x, y) with
+              | Some x, Some y -> merge_pair x y
+              | _ -> None)
+            a b
+        in
+        same_tuples
+          (Erm.Ops.intersection ~policy:quarantine (relation_of a)
+             (relation_of b))
+          expected);
+    algebra_prop "difference = association-list difference" (fun seed ->
+        let a, b = gen_sides ~hostile:true seed in
+        let expected =
+          reference
+            (fun x y -> match (x, y) with Some x, None -> Some x | _ -> None)
+            a b
+        in
+        same_tuples (Erm.Ops.difference (relation_of a) (relation_of b))
+          expected);
+    algebra_prop "union_report = reference, conflicts in key order"
+      (fun seed ->
+        let a, b = gen_sides ~hostile:true seed in
+        let conflicts = ref [] in
+        let record key attr detail =
+          conflicts :=
+            { Erm.Ops.conflict_key = key;
+              conflict_attr = attr;
+              conflict_detail = detail }
+            :: !conflicts
+        in
+        let expected =
+          reference
+            (fun x y ->
+              match (x, y) with
+              | Some x, Some y ->
+                  Erm.Ops.merge_report ~policy:quarantine dschema ~record x y
+              | Some t, None | None, Some t -> Some t
+              | None, None -> None)
+            a b
+        in
+        let r, cs =
+          Erm.Ops.union_report ~policy:quarantine (relation_of a)
+            (relation_of b)
+        in
+        same_tuples r expected
+        && cs = List.rev !conflicts
+        && ascending (List.map (fun c -> c.Erm.Ops.conflict_key) cs));
+    algebra_prop "Relation.merge calls f once per key, ascending"
+      (fun seed ->
+        let a, b = gen_sides ~hostile:true seed in
+        let seen = ref [] in
+        let merged =
+          Erm.Relation.merge
+            (fun x y ->
+              let t = Option.get (if Option.is_some x then x else y) in
+              seen := Erm.Etuple.key t :: !seen;
+              y)
+            dschema (relation_of a) (relation_of b)
+        in
+        List.rev !seen
+        = List.map
+            (fun k -> [ V.string k ])
+            (List.sort_uniq String.compare (List.map fst a @ List.map fst b))
+        && same_tuples merged
+             (reference (fun _ y -> y) a b)) ]
+
+let test_map_tuples_key_order () =
+  let a, _ = gen_sides ~hostile:false 42 in
+  let seen = ref [] in
+  let r =
+    Erm.Relation.map_tuples
+      (fun t ->
+        seen := Erm.Etuple.key t :: !seen;
+        Some t)
+      dschema (relation_of a)
+  in
+  Alcotest.(check bool) "every tuple visited, ascending" true
+    (List.rev !seen = List.map (fun (k, _) -> [ V.string k ]) a);
+  Alcotest.(check bool) "sn = 0 tuples dropped" true
+    (Erm.Relation.satisfies_cwa r)
+
+let test_key_change_rejected () =
+  let rekey t =
+    Erm.Etuple.make schema ~key:[ V.string "zz" ] ~cells:(Erm.Etuple.cells t)
+      ~tm:(Erm.Etuple.tm t)
+  in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with
+      | _ -> false
+      | exception Erm.Relation.Relation_error _ -> true)
+  in
+  raises "map_tuples" (fun () ->
+      Erm.Relation.map_tuples (fun t -> Some (rekey t)) schema boxes);
+  raises "merge" (fun () ->
+      Erm.Relation.merge
+        (fun x _ -> Option.map rekey x)
+        schema boxes other_boxes)
+
 let () =
   Alcotest.run "ops"
     [ ( "select",
@@ -326,6 +529,12 @@ let () =
           Alcotest.test_case "unknown attribute" `Quick
             test_select_unknown_attr ] );
       ("project", [ Alcotest.test_case "projection" `Quick test_project ]);
+      ( "relation-merge",
+        algebra_props
+        @ [ Alcotest.test_case "map_tuples visits keys in order" `Quick
+              test_map_tuples_key_order;
+            Alcotest.test_case "key-changing map rejected" `Quick
+              test_key_change_rejected ] );
       ( "union",
         [ Alcotest.test_case "merge and pass-through" `Quick
             test_union_merges_and_passes_through;
