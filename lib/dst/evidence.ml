@@ -68,52 +68,38 @@ let next input pos =
 (* ------------------------------------------------------------------ *)
 (* Recursive-descent parser.                                           *)
 
-let parse_mass fail tok =
-  match tok with
-  | Lit s -> (
-      match String.index_opt s '/' with
-      | Some k -> (
-          let a = String.sub s 0 k
-          and b = String.sub s (k + 1) (String.length s - k - 1) in
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b when b <> 0 -> float_of_int a /. float_of_int b
-          | _ -> fail ("malformed fraction " ^ s))
-      | None -> (
-          match float_of_string_opt s with
-          | Some f -> f
-          | None -> fail ("expected a mass, got " ^ s)))
-  | _ -> fail "expected a mass value"
+type entry = { mask : Domain.mask; outside : Value.t list; mass : float }
 
-let of_string frame input =
+let malformed_set = "malformed set {…}"
+let is_empty e = e.outside = [] && Array.for_all (( = ) 0) e.mask
+
+let parse frame input =
   let pos = ref 0 in
   let next () = next input pos in
+  (* [{}] is an entry, but the first error after it is reported as
+     [{}]'s own. *)
+  let empty_seen = ref false in
   (* An unterminated string literal anywhere in the input is the error
      reported, ahead of any syntax or literal error before it: the rest
      of the input is lexed before either is raised. *)
   let rec drain () = match next () with Eof -> () | _ -> drain () in
   let fail msg =
     drain ();
-    raise (Parse_error (input, msg))
+    raise (Parse_error (input, if !empty_seen then malformed_set else msg))
   in
   let literal s =
-    try Value.of_literal s
-    with Invalid_argument _ as e ->
-      drain ();
-      raise e
+    match Value.of_literal s with
+    | v -> v
+    | exception Invalid_argument m -> fail m
   in
-  (* Each member's mask is set bit by bit from the parsed values. A value
-     outside the frame is kept aside: the input is then rebuilt as value
-     sets and handed to [Mass.F.make], so that the error names the whole
-     focal set and any earlier entry's error still comes first. *)
-  let outside = ref false in
-  let add_value mask extra v =
+  (* Each member's mask is set bit by bit from the parsed values; a value
+     outside the frame is kept aside. *)
+  let add_value mask outside v =
     let i = Domain.index frame v in
     if i >= 0 then (
       Domain.add_bit mask i;
-      extra)
-    else (
-      outside := true;
-      v :: extra)
+      outside)
+    else v :: outside
   in
   let member () =
     match next () with
@@ -123,30 +109,45 @@ let of_string frame input =
         (mask, add_value mask [] (literal s))
     | Lbrace ->
         let mask = Domain.empty_mask frame in
-        let rec elems extra any =
+        let rec elems outside any =
           match next () with
           | Lit s -> (
               match next () with
-              | Comma -> elems (add_value mask extra (literal s)) true
-              | Rbrace -> add_value mask extra (literal s)
-              | _ -> fail "malformed set {…}")
-          | Rbrace when any -> extra
-          | _ -> fail "malformed set {…}"
+              | Comma -> elems (add_value mask outside (literal s)) true
+              | Rbrace -> add_value mask outside (literal s)
+              | _ -> fail malformed_set)
+          | Rbrace when any -> outside
+          | Rbrace ->
+              empty_seen := true;
+              outside
+          | _ -> fail malformed_set
         in
-        (mask, elems [] false)
+        (mask, List.rev (elems [] false))
     | _ -> fail "expected a focal element"
   in
+  let mass tok =
+    match tok with
+    | Lit s -> (
+        match Num.float_of_literal s with
+        | Some x -> x
+        | None ->
+            fail
+              ((if String.contains s '/' then "malformed fraction "
+                else "expected a mass, got ")
+              ^ s))
+    | _ -> fail "expected a mass value"
+  in
   let rec focals acc =
-    let mask, extra = member () in
+    let mask, outside = member () in
     let mass =
       match next () with
       | Caret -> (
           match next () with
           | Eof -> fail "expected ^mass after focal element"
-          | tok -> parse_mass fail tok)
+          | tok -> mass tok)
       | _ -> fail "expected ^mass after focal element"
     in
-    let acc = (mask, extra, mass) :: acc in
+    let acc = { mask; outside; mass } :: acc in
     match next () with
     | Semi -> focals acc
     | Rbracket -> (
@@ -155,20 +156,32 @@ let of_string frame input =
         | _ -> fail "trailing input after ]")
     | _ -> fail "expected ; or ]"
   in
-  match next () with
-  | Lbracket ->
-      let entries = focals [] in
-      if !outside then
-        Mass.F.make frame
-          (List.map
-             (fun (mask, extra, x) ->
-               let set = Domain.vset_at frame mask 0 in
-               (Vset.union set (Vset.of_list extra), x))
-             entries)
-      else
-        Mass.F.make_masks frame
-          (List.map (fun (mask, _, x) -> (mask, x)) entries)
-  | _ -> fail "expected ["
+  match
+    match next () with
+    | Lbracket -> focals []
+    | _ -> fail "expected ["
+  with
+  | entries -> Ok entries
+  | exception Parse_error (_, m) -> Error m
+
+(* A value outside the frame sends the entries to [Mass.F.make] as value
+   sets, so that the error names the whole focal set and an earlier
+   entry's error still comes first. *)
+let of_entries frame entries =
+  if List.exists is_empty entries then raise (Parse_error ("{}", malformed_set))
+  else if List.exists (fun e -> e.outside <> []) entries then
+    Mass.F.make frame
+      (List.map
+         (fun e ->
+           ( Vset.union (Domain.vset_at frame e.mask 0) (Vset.of_list e.outside),
+             e.mass ))
+         entries)
+  else Mass.F.make_masks frame (List.map (fun e -> (e.mask, e.mass)) entries)
+
+let of_string frame input =
+  match parse frame input with
+  | Ok entries -> of_entries frame entries
+  | Error m -> raise (Parse_error (input, m))
 
 let to_string = Mass.F.to_string
 let pp = Mass.F.pp

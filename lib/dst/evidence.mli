@@ -14,6 +14,28 @@ type t = Mass.F.t
 exception Parse_error of string * string
 (** [Parse_error (input, message)]. *)
 
+type entry = {
+  mask : Domain.mask;  (** The member's values that lie in the frame. *)
+  outside : Value.t list;  (** Its values outside the frame, as written. *)
+  mass : float;  (** The mass as written. *)
+}
+(** One focal element as written. The explicit empty member [{}] is the
+    one entry with an empty mask and no values outside the frame. *)
+
+val parse : Domain.t -> string -> (entry list, string) result
+(** The first step of {!of_string}: the entries in input order, before
+    any mass-function check — zero masses, repeated members, [{}],
+    values outside the frame and masses that do not sum to 1 all come
+    back as written. [Error message] carries {!of_string}'s syntax
+    error message. *)
+
+val of_entries : Domain.t -> entry list -> t
+(** The second step of {!of_string}: the mass function of parsed
+    entries, repeated members summed and zero masses dropped.
+    @raise Parse_error on an explicit empty member [{}].
+    @raise Mass.F.Invalid_mass on semantic errors (bad masses, values
+    outside the domain). *)
+
 val of_string : Domain.t -> string -> t
 (** Parses the paper notation. Grammar (whitespace-insensitive):
     {v
@@ -27,7 +49,7 @@ val of_string : Domain.t -> string -> t
     Whitespace (spaces, tabs, carriage returns and newlines) may
     separate any two tokens, so a cell may span several lines.
     Masses must sum to 1 (within the float tolerance).
-    @raise Parse_error on syntax errors.
+    @raise Parse_error on syntax errors, including a malformed literal.
     @raise Mass.F.Invalid_mass on semantic errors (bad masses, values
     outside the domain). *)
 

@@ -31,6 +31,18 @@ end
     bound than machine epsilon. *)
 let float_tolerance = 1e-9
 
+(* The numeric literal of masses and supports: a float, or an exact
+   fraction [a/b] of two ints with [b <> 0]. *)
+let float_of_literal s =
+  match String.index_opt s '/' with
+  | Some k -> (
+      let a = String.sub s 0 k
+      and b = String.sub s (k + 1) (String.length s - k - 1) in
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b when b <> 0 -> Some (float_of_int a /. float_of_int b)
+      | _ -> None)
+  | None -> float_of_string_opt s
+
 module Float : S with type t = float = struct
   type t = float
 

@@ -81,30 +81,22 @@ let compare a b =
 let pp ppf t = Format.fprintf ppf "(%g, %g)" t.sn t.sp
 let to_string t = Format.asprintf "%a" pp t
 
-let of_string s =
-  let malformed () =
-    invalid_arg ("Support.of_string: malformed support pair " ^ s)
-  in
-  (* Components are floats or exact fractions like 5/6 — the same numeric
-     literals the evidence-set parser accepts. *)
-  let component c =
-    let c = String.trim c in
-    match String.index_opt c '/' with
-    | Some k -> (
-        let a = String.sub c 0 k
-        and b = String.sub c (k + 1) (String.length c - k - 1) in
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | Some a, Some b when b <> 0 -> float_of_int a /. float_of_int b
-        | _ -> malformed ())
-    | None -> (
-        match float_of_string_opt c with
-        | Some f -> f
-        | None -> malformed ())
-  in
-  let s' = String.trim s in
-  let n = String.length s' in
-  if n < 2 || s'.[0] <> '(' || s'.[n - 1] <> ')' then malformed ()
+let pair_of_string s =
+  let s = String.trim s in
+  let n = String.length s in
+  if n < 2 || s.[0] <> '(' || s.[n - 1] <> ')' then None
   else
-    match String.split_on_char ',' (String.sub s' 1 (n - 2)) with
-    | [ a; b ] -> make ~sn:(component a) ~sp:(component b)
-    | _ -> malformed ()
+    match String.split_on_char ',' (String.sub s 1 (n - 2)) with
+    | [ a; b ] -> (
+        match
+          ( Num.float_of_literal (String.trim a),
+            Num.float_of_literal (String.trim b) )
+        with
+        | Some sn, Some sp -> Some (sn, sp)
+        | _ -> None)
+    | _ -> None
+
+let of_string s =
+  match pair_of_string s with
+  | Some (sn, sp) -> make ~sn ~sp
+  | None -> invalid_arg ("Support.of_string: malformed support pair " ^ s)

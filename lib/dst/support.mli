@@ -85,5 +85,12 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val pair_of_string : string -> (float * float) option
+(** The two components of ["(sn, sp)"] as written, each a float or an
+    exact fraction [a/b]; [None] when the text is not such a pair. The
+    range is not checked. *)
+
 val of_string : string -> t
-(** Parses ["(sn, sp)"]. @raise Invalid_argument on malformed input. *)
+(** {!pair_of_string} then {!make}.
+    @raise Invalid_argument on malformed input.
+    @raise Invalid_support on an out-of-range pair. *)

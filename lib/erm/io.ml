@@ -1,5 +1,27 @@
 exception Io_error of { line : int; col : int; message : string }
 
+type error_kind =
+  | Declaration
+  | Domain
+  | Arity
+  | Definite
+  | Evidence
+  | Membership
+  | Key
+  | Schema
+
+type error = { kind : error_kind; line : int; col : int; message : string }
+type 'a parsed = ('a, error) result
+
+let err kind ?(col = 0) line fmt =
+  Format.kasprintf (fun message -> { kind; line; col; message }) fmt
+
+let error kind ?(col = 0) line fmt =
+  Format.kasprintf (fun message -> Error { kind; line; col; message }) fmt
+
+let raise_error (e : error) =
+  raise (Io_error { line = e.line; col = e.col; message = e.message })
+
 let fail ?(col = 0) line fmt =
   Format.kasprintf (fun message -> raise (Io_error { line; col; message })) fmt
 
@@ -25,142 +47,266 @@ let string_mentions haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   n > 0 && go 0
 
+type decl = {
+  line : int;
+  col : int;
+  key : bool;
+  name : string;
+  attr : Attr.t parsed;
+}
+
+(* The values of an evidence domain, in order; the first malformed
+   literal is the error. *)
+let rec domain_values ~col line acc = function
+  | [] -> Ok (List.rev acc)
+  | v :: rest -> (
+      match Dst.Value.of_literal v with
+      | x -> domain_values ~col line (x :: acc) rest
+      | exception Invalid_argument _ ->
+          error Domain ~col line "malformed domain value %s" v)
+
 (* "name : string" or "name : evidence {a, b, c}". [col] is the 1-based
    column of the declaration body in its source line. *)
-let parse_attr_decl ?(col = 0) line body =
+let parse_attr_decl ~col ~key line body =
+  let decl name attr = { line; col; key; name; attr } in
   match String.index_opt body ':' with
-  | None -> fail ~col line "expected `name : kind` in attribute declaration"
+  | None ->
+      decl ""
+        (error Declaration ~col line
+           "expected `name : kind` in attribute declaration")
   | Some i ->
       let name = String.trim (String.sub body 0 i) in
       let kind_raw = String.sub body (i + 1) (String.length body - i - 1) in
       let kcol = if col = 0 then 0 else col + i + 1 + lead kind_raw in
       let kind = String.trim kind_raw in
-      if name = "" then fail ~col line "empty attribute name"
+      if name = "" then decl "" (error Declaration ~col line "empty attribute name")
       else if String.length kind >= 8 && String.sub kind 0 8 = "evidence" then
         let spec = String.trim (String.sub kind 8 (String.length kind - 8)) in
-        let inner =
-          if String.length spec >= 2 && spec.[0] = '{'
-             && spec.[String.length spec - 1] = '}'
-          then String.sub spec 1 (String.length spec - 2)
-          else fail ~col:kcol line "expected evidence {v1, v2, …}"
-        in
-        let values =
-          String.split_on_char ',' inner
-          |> List.map String.trim
-          |> List.filter (fun v -> v <> "")
-          |> List.map Dst.Value.of_literal
-        in
-        if values = [] then fail ~col:kcol line "empty evidence domain"
-        else Attr.evidential name (Dst.Domain.of_values name values)
+        let n = String.length spec in
+        if n < 2 || spec.[0] <> '{' || spec.[n - 1] <> '}' then
+          decl name
+            (error Declaration ~col:kcol line "expected evidence {v1, v2, …}")
+        else
+          let values =
+            String.split_on_char ',' (String.sub spec 1 (n - 2))
+            |> List.map String.trim
+            |> List.filter (fun v -> v <> "")
+          in
+          decl name
+            (match domain_values ~col:kcol line [] values with
+            | Ok [] -> error Domain ~col:kcol line "empty evidence domain"
+            | Ok vs -> Ok (Attr.evidential name (Dst.Domain.of_values name vs))
+            | Error e -> Error e)
       else
-        try Attr.definite name kind
-        with Invalid_argument _ ->
-          fail ~col:kcol line "unknown attribute kind %s" kind
+        decl name
+          (match Attr.definite name kind with
+          | a -> Ok a
+          | exception Invalid_argument _ ->
+              error Domain ~col:kcol line "unknown attribute kind %s" kind)
 
-let parse_definite ?(col = 0) line kind raw =
+let parse_definite ~col line kind raw =
   let raw = String.trim raw in
   match kind with
   | "string" ->
       if String.length raw >= 2 && raw.[0] = '"' then
-        (try Dst.Value.of_literal raw
-         with Invalid_argument m -> fail ~col line "%s" m)
-      else Dst.Value.string raw
+        match Dst.Value.of_literal raw with
+        | v -> Ok v
+        | exception Invalid_argument m -> error Definite ~col line "%s" m
+      else Ok (Dst.Value.string raw)
   | "int" -> (
       match int_of_string_opt raw with
-      | Some n -> Dst.Value.int n
-      | None -> fail ~col line "expected an int, got %s" raw)
+      | Some n -> Ok (Dst.Value.int n)
+      | None -> error Definite ~col line "expected an int, got %s" raw)
   | "float" -> (
       match float_of_string_opt raw with
-      | Some f -> Dst.Value.float f
-      | None -> fail ~col line "expected a float, got %s" raw)
+      | Some f -> Ok (Dst.Value.float f)
+      | None -> error Definite ~col line "expected a float, got %s" raw)
   | "bool" -> (
       match bool_of_string_opt raw with
-      | Some b -> Dst.Value.bool b
-      | None -> fail ~col line "expected a bool, got %s" raw)
-  | _ -> fail ~col line "unknown value kind %s" kind
+      | Some b -> Ok (Dst.Value.bool b)
+      | None -> error Definite ~col line "expected a bool, got %s" raw)
+  | _ -> error Definite ~col line "unknown value kind %s" kind
 
-let parse_cell ?(col = 0) line attr raw =
-  match Attr.kind attr with
-  | Attr.Definite kind -> Etuple.Definite (parse_definite ~col line kind raw)
-  | Attr.Evidential domain -> (
-      try Etuple.Evidence (Dst.Evidence.of_string domain (String.trim raw))
-      with
-      | Dst.Evidence.Parse_error (_, m) ->
-          fail ~col line "bad evidence for %s: %s" (Attr.name attr) m
-      | Dst.Mass.F.Invalid_mass m ->
-          fail ~col line "bad evidence for %s: %s" (Attr.name attr) m)
+type cell =
+  | Value of Dst.Value.t
+  | Evidence of {
+      col : int;
+      frame : Dst.Domain.t;
+      entries : Dst.Evidence.entry list;
+      mass : Dst.Evidence.t parsed;
+    }
 
-(* Parses the row body [s.[first] .. s.[stop-1]]. [base_col] is the
-   1-based column of [s.[first]] in its source line (0 when unknown), so
-   each field's own column follows from the positions of the '|'
-   separators. *)
-let parse_row ~base_col line schema s first stop =
-  let expected = Schema.arity schema + 1 in
+(* A cell under a declaration that failed carries that declaration's
+   error. *)
+let parse_cell ~col line attr raw =
+  match attr with
+  | Error e -> Error e
+  | Ok attr -> (
+      match Attr.kind attr with
+      | Attr.Definite kind ->
+          Result.map (fun v -> Value v) (parse_definite ~col line kind raw)
+      | Attr.Evidential frame -> (
+          let bad m =
+            error Evidence ~col line "bad evidence for %s: %s" (Attr.name attr)
+              m
+          in
+          match Dst.Evidence.parse frame (String.trim raw) with
+          | Error m -> bad m
+          | Ok entries ->
+              let mass =
+                match Dst.Evidence.of_entries frame entries with
+                | e -> Ok e
+                | exception
+                    ( Dst.Evidence.Parse_error (_, m)
+                    | Dst.Mass.F.Invalid_mass m ) ->
+                    bad m
+              in
+              Ok (Evidence { col; frame; entries; mass })))
+
+type membership = {
+  col : int;
+  sn : float;
+  sp : float;
+  support : Dst.Support.t parsed;
+}
+
+let parse_membership ~col line raw =
+  let bad () = error Membership ~col line "bad membership pair %s" raw in
+  match Dst.Support.pair_of_string raw with
+  | None -> bad ()
+  | Some (sn, sp) ->
+      let support =
+        match Dst.Support.make ~sn ~sp with
+        | s -> Ok s
+        | exception Dst.Support.Invalid_support _ -> bad ()
+      in
+      Ok { col; sn; sp; support }
+
+type row = {
+  line : int;
+  col : int;
+  key : Dst.Value.t parsed list;
+  cells : cell parsed list;
+  tm : membership parsed;
+}
+
+(* Parses the row body [s.[first] .. s.[stop-1]] against the declared
+   [keys] and [attrs]. [base_col] is the 1-based column of [s.[first]]
+   in its source line (0 when unknown), so each field's own column
+   follows from the positions of the '|' separators. *)
+let parse_row ~base_col line ~keys ~attrs s first stop =
+  let expected = List.length keys + List.length attrs + 1 in
   let got = ref 1 in
   for i = first to stop - 1 do
     if s.[i] = '|' then incr got
   done;
   if !got <> expected then
-    fail ~col:base_col line "expected %d |-separated fields, got %d" expected
-      !got;
-  let pos = ref first in
-  (* The next field's column and trimmed text. *)
-  let field () =
-    let a = !pos in
-    let rec bar j = if j < stop && s.[j] <> '|' then bar (j + 1) else j in
-    let b = bar a in
-    pos := b + 1;
-    let col =
-      if base_col = 0 then 0 else base_col + (a - first) + blanks s a b
+    error Arity ~col:base_col line "expected %d |-separated fields, got %d"
+      expected !got
+  else
+    let pos = ref first in
+    (* The next field's column and trimmed text. *)
+    let field () =
+      let a = !pos in
+      let rec bar j = if j < stop && s.[j] <> '|' then bar (j + 1) else j in
+      let b = bar a in
+      pos := b + 1;
+      let col =
+        if base_col = 0 then 0 else base_col + (a - first) + blanks s a b
+      in
+      let i, j = trim_bounds s a b in
+      (col, String.sub s i (j - i))
     in
-    let i, j = trim_bounds s a b in
-    (col, String.sub s i (j - i))
+    (* A fold, not List.map, so fields are consumed left to right. *)
+    let fields attrs parse =
+      List.rev
+        (List.fold_left
+           (fun acc attr ->
+             let col, raw = field () in
+             parse ~col attr raw :: acc)
+           [] attrs)
+    in
+    let key =
+      fields keys (fun ~col attr raw ->
+          match attr with
+          | Error e -> Error e
+          | Ok attr -> (
+              match Attr.kind attr with
+              | Attr.Definite kind -> parse_definite ~col line kind raw
+              | Attr.Evidential _ ->
+                  error Key ~col line "evidential key attribute"))
+    in
+    let cells = fields attrs (fun ~col attr raw -> parse_cell ~col line attr raw) in
+    let tm =
+      let col, raw = field () in
+      parse_membership ~col line raw
+    in
+    Ok { line; col = base_col; key; cells; tm }
+
+(* The row's tuple, or the first error among its fields, left to
+   right. *)
+let tuple_of_row schema (r : row) =
+  let ( let* ) = Result.bind in
+  let rec all f acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+        let* v = f x in
+        all f (v :: acc) rest
   in
-  (* A fold, not List.map, so fields are consumed left to right. *)
-  let fields attrs parse =
-    List.rev
-      (List.fold_left
-         (fun acc attr ->
-           let col, raw = field () in
-           parse ~col attr raw :: acc)
-         [] attrs)
+  let* key = all Fun.id [] r.key in
+  let* cells =
+    all
+      (fun c ->
+        match c with
+        | Ok (Value v) -> Ok (Etuple.Definite v)
+        | Ok (Evidence { mass = Ok m; _ }) -> Ok (Etuple.Evidence m)
+        | Ok (Evidence { mass = Error e; _ }) | Error e -> Error e)
+      [] r.cells
   in
-  let key =
-    fields (Schema.key schema) (fun ~col attr raw ->
-        match Attr.kind attr with
-        | Attr.Definite kind -> parse_definite ~col line kind raw
-        | Attr.Evidential _ -> fail ~col line "evidential key attribute")
-  in
-  let cells =
-    fields (Schema.nonkey schema) (fun ~col attr raw ->
-        parse_cell ~col line attr raw)
-  in
-  let tm =
-    let col, raw = field () in
-    try Dst.Support.of_string raw
-    with Invalid_argument _ | Dst.Support.Invalid_support _ ->
-      fail ~col line "bad membership pair %s" raw
-  in
-  try Etuple.make schema ~key ~cells ~tm
-  with Etuple.Tuple_error m -> fail ~col:base_col line "%s" m
+  let* tm = Result.bind r.tm (fun m -> m.support) in
+  match Etuple.make schema ~key ~cells ~tm with
+  | t -> Ok t
+  | exception Etuple.Tuple_error m -> error Schema ~col:r.col r.line "%s" m
+
+(* The row parsed against a known schema, as a tuple. *)
+let tuple_of_fields schema ~base_col line s first stop =
+  let layout = List.map Result.ok in
+  match
+    Result.bind
+      (parse_row ~base_col line
+         ~keys:(layout (Schema.key schema))
+         ~attrs:(layout (Schema.nonkey schema))
+         s first stop)
+      (tuple_of_row schema)
+  with
+  | Ok t -> t
+  | Error e -> raise_error e
+
+type item =
+  | Header of { line : int; col : int; name : string }
+  | Decl of decl
+  | Directive_error of error
+  | Block of { line : int; name : string; schema : Schema.t parsed }
+  | Row of row parsed
 
 type block = {
   rname : string;
   rline : int;
-  (* Newest first; reversed once when the block is built. *)
-  mutable keys : Attr.t list;
-  mutable attrs : Attr.t list;
+  (* Newest first; reversed once when the block is built. Only named
+     declarations hold a column. *)
+  mutable keys : Attr.t parsed list;
+  mutable attrs : Attr.t parsed list;
+  mutable failed : error option;  (* the block's first declaration error *)
   mutable rows : (int * int * int * int) list;  (* line, column, body bounds *)
 }
 
 (* One pass over the lines, by index: directives are checked and
    declarations parsed as they come, tuple rows are kept as bounds into
    [input] and parsed once their block's schema is known. *)
-let relations_of_string input =
+let scan input f init =
+  let acc = ref init in
+  let emit item = acc := f !acc item in
   let n = String.length input in
-  let newlines = ref 0 in
-  String.iter (fun c -> if c = '\n' then incr newlines) input;
-  Obs.Metrics.incr ~by:(!newlines + 1) "io.parse.lines";
   let blocks = ref [] in
   let current = ref None in
   let flush () =
@@ -183,30 +329,42 @@ let relations_of_string input =
       (* 1-based column of the body's first character in the raw line. *)
       let body_col = indent + word_len + blanks input word_end le + 1 in
       let body () = String.sub input bs (be - bs) in
+      let bad fmt = err Declaration ~col:(indent + 1) lineno fmt in
       match String.sub input ls word_len with
       | "relation" ->
           flush ();
-          if bs = be then fail ~col:(indent + 1) lineno "relation needs a name"
-          else
+          if bs = be then emit (Directive_error (bad "relation needs a name"))
+          else begin
+            let name = body () in
             current :=
               Some
-                { rname = body ();
+                { rname = name;
                   rline = lineno;
                   keys = [];
                   attrs = [];
-                  rows = [] }
+                  failed = None;
+                  rows = [] };
+            emit (Header { line = lineno; col = body_col; name })
+          end
       | word -> (
           match (!current, word) with
           | None, _ ->
-              fail ~col:(indent + 1) lineno "expected `relation <name>` first"
-          | Some b, "key" ->
-              b.keys <- parse_attr_decl ~col:body_col lineno (body ()) :: b.keys
-          | Some b, "attr" ->
-              b.attrs <-
-                parse_attr_decl ~col:body_col lineno (body ()) :: b.attrs
+              emit (Directive_error (bad "expected `relation <name>` first"))
+          | Some b, ("key" | "attr") ->
+              let d =
+                parse_attr_decl ~col:body_col ~key:(word = "key") lineno
+                  (body ())
+              in
+              (match d.attr with
+              | Error e when b.failed = None -> b.failed <- Some e
+              | _ -> ());
+              if d.name <> "" then
+                if d.key then b.keys <- d.attr :: b.keys
+                else b.attrs <- d.attr :: b.attrs;
+              emit (Decl d)
           | Some b, "tuple" -> b.rows <- (lineno, body_col, bs, be) :: b.rows
           | Some _, other ->
-              fail ~col:(indent + 1) lineno "unknown directive %s" other)
+              emit (Directive_error (bad "unknown directive %s" other)))
     end
   in
   let rec lines lineno start =
@@ -220,23 +378,60 @@ let relations_of_string input =
   in
   lines 1 0;
   flush ();
-  List.rev_map
+  (* Blocks newest first, the loader's order since it first checked
+     whole blocks. *)
+  List.iter
     (fun b ->
+      let keys = List.rev b.keys and attrs = List.rev b.attrs in
       let schema =
-        try Schema.make ~name:b.rname ~key:(List.rev b.keys)
-              ~nonkey:(List.rev b.attrs)
-        with Schema.Schema_error m ->
-          fail b.rline "relation %s: %s" b.rname m
+        match b.failed with
+        | Some e -> Error e
+        | None -> (
+            match
+              Schema.make ~name:b.rname
+                ~key:(List.map Result.get_ok keys)
+                ~nonkey:(List.map Result.get_ok attrs)
+            with
+            | s -> Ok s
+            | exception Schema.Schema_error m ->
+                error Schema b.rline "relation %s: %s" b.rname m)
       in
-      List.fold_left
-        (fun r (lineno, col, first, stop) ->
-          let tuple = parse_row ~base_col:col lineno schema input first stop in
-          try Relation.add r tuple
-          with
-          | Relation.Duplicate_key _ -> fail ~col lineno "duplicate key"
-          | Relation.Relation_error m -> fail ~col lineno "%s" m)
-        (Relation.empty schema) (List.rev b.rows))
-    !blocks
+      emit (Block { line = b.rline; name = b.rname; schema });
+      List.iter
+        (fun (lineno, col, first, stop) ->
+          emit (Row (parse_row ~base_col:col lineno ~keys ~attrs input first stop)))
+        (List.rev b.rows))
+    !blocks;
+  !acc
+
+let add_row r (row : row) =
+  match tuple_of_row (Relation.schema r) row with
+  | Error e -> raise_error e
+  | Ok tuple -> (
+      try Relation.add r tuple
+      with
+      | Relation.Duplicate_key _ -> fail ~col:row.col row.line "duplicate key"
+      | Relation.Relation_error m -> fail ~col:row.col row.line "%s" m)
+
+(* The scan delivers blocks last to first, so consing gives file
+   order. *)
+let relations_of_string input =
+  let newlines = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr newlines) input;
+  Obs.Metrics.incr ~by:(!newlines + 1) "io.parse.lines";
+  scan input
+    (fun rels item ->
+      match item with
+      | Header _ | Decl { attr = Ok _; _ } -> rels
+      | Directive_error e
+      | Decl { attr = Error e; _ }
+      | Block { schema = Error e; _ }
+      | Row (Error e) ->
+          raise_error e
+      | Block { schema = Ok s; _ } -> Relation.empty s :: rels
+      | Row (Ok row) -> (
+          match rels with r :: rest -> add_row r row :: rest | [] -> rels))
+    []
 
 let relation_of_string input =
   match relations_of_string input with
@@ -339,7 +534,7 @@ let tuple_to_string t =
   Buffer.contents buf
 
 let tuple_of_string schema s =
-  parse_row ~base_col:0 0 schema s 0 (String.length s)
+  tuple_of_fields schema ~base_col:0 0 s 0 (String.length s)
 
 let to_string r =
   let buf = Buffer.create 4096 in
@@ -456,7 +651,7 @@ let relation_of_csv schema input =
             fields;
           let row = String.concat "|" fields in
           let tuple =
-            parse_row ~base_col:0 lineno schema row 0 (String.length row)
+            tuple_of_fields schema ~base_col:0 lineno row 0 (String.length row)
           in
           match Relation.add r tuple with
           | r -> (r, lineno + 1)

@@ -21,7 +21,10 @@ exception Io_error of { line : int; col : int; message : string }
     token, or [0] when no finer position than the line is known. *)
 
 val relations_of_string : string -> Relation.t list
-(** @raise Io_error with a 1-based line/column position on malformed
+(** Folds {!scan} and raises its first error; duplicate keys and
+    CWA_ER-inadmissible rows ([sn = 0]) are found as rows are added to
+    their relation.
+    @raise Io_error with a 1-based line/column position on malformed
     input. *)
 
 val relation_of_string : string -> Relation.t
@@ -33,6 +36,91 @@ val to_string : Relation.t -> string
     second line. Masses and supports print losslessly (see
     {!tuple_to_string}), so {!relation_of_string} gives back the same
     relation, up to the [%g] display of definite [float] cells. *)
+
+(** {2 The scan}
+
+    The one [.erd] grammar. {!scan} parses a file in a single pass and
+    hands each piece to a fold: the loader stops at the first error, the
+    linter ([Analysis.Erd_lint]) folds the same items and collects every
+    finding. The items come in the loader's order of precedence:
+    - first the line scan, in line order: relation headers, attribute
+      declarations and directive errors;
+    - then each block, from the last to the first: its schema, then its
+      rows in line order.
+
+    Each field of a row parses on its own, to a value or to a positioned
+    error, so a bad field does not hide the next one. *)
+
+type error_kind =
+  | Declaration  (** a directive or declaration line that does not parse *)
+  | Domain  (** an unknown attribute kind or a bad evidence domain *)
+  | Arity  (** a row with the wrong number of fields *)
+  | Definite  (** a key or definite cell that is not a value of its kind *)
+  | Evidence  (** an evidence cell that is malformed or no mass function *)
+  | Membership  (** a membership pair that is malformed or out of range *)
+  | Key  (** a row field under an evidential key attribute *)
+  | Schema  (** declarations that do not make a schema *)
+
+type error = { kind : error_kind; line : int; col : int; message : string }
+(** Positioned as {!Io_error}, with the same message. *)
+
+type 'a parsed = ('a, error) result
+
+type decl = {
+  line : int;
+  col : int;  (** of the declaration body *)
+  key : bool;  (** a [key] rather than an [attr] line *)
+  name : string;  (** [""] when the line names no attribute *)
+  attr : Attr.t parsed;
+}
+(** A [key] or [attr] line. A named declaration holds a column of its
+    block's rows even when its kind is bad; a cell in that column parses
+    to the declaration's own error. *)
+
+type cell =
+  | Value of Dst.Value.t  (** a definite cell *)
+  | Evidence of {
+      col : int;
+      frame : Dst.Domain.t;
+      entries : Dst.Evidence.entry list;
+          (** as written: see {!Dst.Evidence.parse} *)
+      mass : Dst.Evidence.t parsed;
+          (** what {!Dst.Evidence.of_entries} makes of [entries] *)
+    }
+
+type membership = {
+  col : int;
+  sn : float;  (** as written *)
+  sp : float;  (** as written *)
+  support : Dst.Support.t parsed;  (** the range-checked pair *)
+}
+
+type row = {
+  line : int;
+  col : int;  (** of the row body *)
+  key : Dst.Value.t parsed list;
+  cells : cell parsed list;
+  tm : membership parsed;
+}
+
+type item =
+  | Header of { line : int; col : int; name : string }
+      (** [relation name]; [col] is the name's column *)
+  | Decl of decl
+  | Directive_error of error
+      (** an unnamed relation, an unknown directive, or a declaration or
+          row before any relation header *)
+  | Block of { line : int; name : string; schema : Schema.t parsed }
+      (** a relation block once its lines are all read. The schema is the
+          first failed declaration's error if one failed, else
+          {!Schema.make}'s verdict. *)
+  | Row of row parsed
+      (** a [tuple] line of the block last delivered; an [Arity] error
+          when its field count is wrong *)
+
+val scan : string -> ('a -> item -> 'a) -> 'a -> 'a
+(** [scan text f init] folds [f] over the items of [text] in the order
+    above. An exception raised by [f] ends the scan. *)
 
 (** {2 Record-level pieces}
 

@@ -65,6 +65,43 @@ let test_error_lines () =
     "relation r\nkey k : string\nattr a : int\ntuple x | 1 | (1,1)\ntuple x \
      | 2 | (1,1)\n"
 
+(* A quoted literal that does not parse is an Io_error at its token's
+   column, in a domain, a key cell and an evidence cell alike, whichever
+   entry point reads it. *)
+let test_bad_literals () =
+  let at line col input =
+    match Erm.Io.relations_of_string input with
+    | _ -> Alcotest.failf "should reject: %s" input
+    | exception Erm.Io.Io_error e ->
+        Alcotest.(check (pair int int)) input (line, col) (e.line, e.col)
+  in
+  at 3 10 "relation r\nkey k : string\nattr e : evidence {\"a, b}\n";
+  at 4 7
+    "relation r\nkey k : string\nattr e : evidence {a, b}\ntuple \"x\\q\" \
+     | [a^1] | (1, 1)\n";
+  at 4 11
+    "relation r\nkey k : string\nattr e : evidence {a, b}\ntuple x | \
+     [\"a\\q\"^1] | (1, 1)\n";
+  let schema =
+    Erm.Schema.make ~name:"r"
+      ~key:[ Erm.Attr.definite "k" "string" ]
+      ~nonkey:
+        [ Erm.Attr.evidential "e" (Dst.Domain.of_strings "e" [ "a"; "b" ]) ]
+  in
+  List.iter
+    (fun row ->
+      match Erm.Io.tuple_of_string schema row with
+      | _ -> Alcotest.failf "tuple_of_string accepted %s" row
+      | exception Erm.Io.Io_error { line; col; message } ->
+          Alcotest.(check (pair int int)) row (0, 0) (line, col);
+          Alcotest.(check bool) (row ^ ": " ^ message) true
+            (String.length message > 0)
+      | exception e ->
+          Alcotest.failf "tuple_of_string %s raised %s" row
+            (Printexc.to_string e))
+    [ "x | [\"a\\q\"^1] | (1, 1)"; "x | [{a, \"b}^1] | (1, 1)";
+      "\"x\\q\" | [a^1] | (1, 1)" ]
+
 let test_cwa_on_load () =
   expect_error_at 4
     "relation r\nkey k : string\nattr a : int\ntuple x | 1 | (0, 0.5)\n"
@@ -350,6 +387,8 @@ let () =
           Alcotest.test_case "multiple relations" `Quick
             test_multiple_relations;
           Alcotest.test_case "error line numbers" `Quick test_error_lines;
+          Alcotest.test_case "bad quoted literals are Io_errors" `Quick
+            test_bad_literals;
           Alcotest.test_case "CWA enforced on load" `Quick test_cwa_on_load ]
       );
       ( "roundtrip",
