@@ -6,8 +6,9 @@
      eridb-lint --list-checks
      eridb-lint --sweep STORE --delta feed.erd --min-priority Medium
 
-   Lints every named .erd file without loading it into the runtime
-   (Analysis.Erd_lint); with --queries, additionally loads the .erd
+   Lints every named .erd file (Analysis.Erd_lint, a fold over the
+   loader's scan that reports every finding where the loader stops at
+   the first); with --queries, additionally loads the .erd
    files and runs the plan checker (Analysis.Check) over each
    non-comment line of the query file. With --sweep, opens a store (an
    Estore directory or a .erd catalog directory) and runs the

@@ -71,7 +71,10 @@ let next input pos =
 type entry = { mask : Domain.mask; outside : Value.t list; mass : float }
 
 let malformed_set = "malformed set {…}"
-let is_empty e = e.outside = [] && Array.for_all (( = ) 0) e.mask
+let rec empty_from mask i =
+  i = Array.length mask || (mask.(i) = 0 && empty_from mask (i + 1))
+
+let is_empty e = e.outside = [] && empty_from e.mask 0
 
 let parse frame input =
   let pos = ref 0 in
@@ -173,8 +176,8 @@ let of_entries frame entries =
     Mass.F.make frame
       (List.map
          (fun e ->
-           ( Vset.union (Domain.vset_at frame e.mask 0) (Vset.of_list e.outside),
-             e.mass ))
+           let inside = Domain.vset_at frame e.mask 0 in
+           (Vset.union inside (Vset.of_list e.outside), e.mass))
          entries)
   else Mass.F.make_masks frame (List.map (fun e -> (e.mask, e.mass)) entries)
 

@@ -19,8 +19,10 @@ type entry = {
   outside : Value.t list;  (** Its values outside the frame, as written. *)
   mass : float;  (** The mass as written. *)
 }
-(** One focal element as written. The explicit empty member [{}] is the
-    one entry with an empty mask and no values outside the frame. *)
+(** One focal element as written. *)
+
+val is_empty : entry -> bool
+(** The explicit empty member [{}]: no values in the frame or out. *)
 
 val parse : Domain.t -> string -> (entry list, string) result
 (** The first step of {!of_string}: the entries in input order, before

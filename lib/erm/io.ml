@@ -1,14 +1,8 @@
 exception Io_error of { line : int; col : int; message : string }
 
 type error_kind =
-  | Declaration
-  | Domain
-  | Arity
-  | Definite
-  | Evidence
-  | Membership
-  | Key
-  | Schema
+  | Declaration | Domain | Arity | Definite
+  | Evidence | Membership | Key | Schema
 
 type error = { kind : error_kind; line : int; col : int; message : string }
 type 'a parsed = ('a, error) result
@@ -48,22 +42,7 @@ let string_mentions haystack needle =
   n > 0 && go 0
 
 type decl = {
-  line : int;
-  col : int;
-  key : bool;
-  name : string;
-  attr : Attr.t parsed;
-}
-
-(* The values of an evidence domain, in order; the first malformed
-   literal is the error. *)
-let rec domain_values ~col line acc = function
-  | [] -> Ok (List.rev acc)
-  | v :: rest -> (
-      match Dst.Value.of_literal v with
-      | x -> domain_values ~col line (x :: acc) rest
-      | exception Invalid_argument _ ->
-          error Domain ~col line "malformed domain value %s" v)
+  line : int; col : int; key : bool; name : string; attr : Attr.t parsed }
 
 (* "name : string" or "name : evidence {a, b, c}". [col] is the 1-based
    column of the declaration body in its source line. *)
@@ -79,7 +58,8 @@ let parse_attr_decl ~col ~key line body =
       let kind_raw = String.sub body (i + 1) (String.length body - i - 1) in
       let kcol = if col = 0 then 0 else col + i + 1 + lead kind_raw in
       let kind = String.trim kind_raw in
-      if name = "" then decl "" (error Declaration ~col line "empty attribute name")
+      if name = "" then
+        decl "" (error Declaration ~col line "empty attribute name")
       else if String.length kind >= 8 && String.sub kind 0 8 = "evidence" then
         let spec = String.trim (String.sub kind 8 (String.length kind - 8)) in
         let n = String.length spec in
@@ -93,10 +73,11 @@ let parse_attr_decl ~col ~key line body =
             |> List.filter (fun v -> v <> "")
           in
           decl name
-            (match domain_values ~col:kcol line [] values with
-            | Ok [] -> error Domain ~col:kcol line "empty evidence domain"
-            | Ok vs -> Ok (Attr.evidential name (Dst.Domain.of_values name vs))
-            | Error e -> Error e)
+            (match List.map Dst.Value.of_literal values with
+            | [] -> error Domain ~col:kcol line "empty evidence domain"
+            | vs -> Ok (Attr.evidential name (Dst.Domain.of_values name vs))
+            | exception Invalid_argument _ ->
+                error Domain ~col:kcol line "malformed domain value in %s" spec)
       else
         decl name
           (match Attr.definite name kind with
@@ -130,11 +111,11 @@ let parse_definite ~col line kind raw =
 type cell =
   | Value of Dst.Value.t
   | Evidence of {
-      col : int;
-      frame : Dst.Domain.t;
-      entries : Dst.Evidence.entry list;
-      mass : Dst.Evidence.t parsed;
-    }
+      col : int; frame : Dst.Domain.t;
+      entries : Dst.Evidence.entry list; mass : Dst.Evidence.t parsed }
+
+let bad_evidence ~col line attr m =
+  error Evidence ~col line "bad evidence for %s: %s" (Attr.name attr) m
 
 (* A cell under a declaration that failed carries that declaration's
    error. *)
@@ -143,15 +124,13 @@ let parse_cell ~col line attr raw =
   | Error e -> Error e
   | Ok attr -> (
       match Attr.kind attr with
-      | Attr.Definite kind ->
-          Result.map (fun v -> Value v) (parse_definite ~col line kind raw)
+      | Attr.Definite kind -> (
+          match parse_definite ~col line kind raw with
+          | Ok v -> Ok (Value v)
+          | Error e -> Error e)
       | Attr.Evidential frame -> (
-          let bad m =
-            error Evidence ~col line "bad evidence for %s: %s" (Attr.name attr)
-              m
-          in
           match Dst.Evidence.parse frame (String.trim raw) with
-          | Error m -> bad m
+          | Error m -> bad_evidence ~col line attr m
           | Ok entries ->
               let mass =
                 match Dst.Evidence.of_entries frame entries with
@@ -159,36 +138,29 @@ let parse_cell ~col line attr raw =
                 | exception
                     ( Dst.Evidence.Parse_error (_, m)
                     | Dst.Mass.F.Invalid_mass m ) ->
-                    bad m
+                    bad_evidence ~col line attr m
               in
               Ok (Evidence { col; frame; entries; mass })))
 
 type membership = {
-  col : int;
-  sn : float;
-  sp : float;
-  support : Dst.Support.t parsed;
-}
+  col : int; sn : float; sp : float; support : Dst.Support.t parsed }
+
+let bad_membership ~col line raw =
+  error Membership ~col line "bad membership pair %s" raw
 
 let parse_membership ~col line raw =
-  let bad () = error Membership ~col line "bad membership pair %s" raw in
   match Dst.Support.pair_of_string raw with
-  | None -> bad ()
-  | Some (sn, sp) ->
-      let support =
-        match Dst.Support.make ~sn ~sp with
-        | s -> Ok s
-        | exception Dst.Support.Invalid_support _ -> bad ()
-      in
-      Ok { col; sn; sp; support }
+  | None -> bad_membership ~col line raw
+  | Some (sn, sp) -> (
+      match Dst.Support.make ~sn ~sp with
+      | s -> Ok { col; sn; sp; support = Ok s }
+      | exception Dst.Support.Invalid_support _ ->
+          Ok { col; sn; sp; support = bad_membership ~col line raw })
 
 type row = {
-  line : int;
-  col : int;
-  key : Dst.Value.t parsed list;
-  cells : cell parsed list;
-  tm : membership parsed;
-}
+  line : int; col : int;
+  key : Dst.Value.t parsed list; cells : cell parsed list;
+  tm : membership parsed }
 
 (* Parses the row body [s.[first] .. s.[stop-1]] against the declared
    [keys] and [attrs]. [base_col] is the 1-based column of [s.[first]]
@@ -236,36 +208,32 @@ let parse_row ~base_col line ~keys ~attrs s first stop =
               | Attr.Evidential _ ->
                   error Key ~col line "evidential key attribute"))
     in
-    let cells = fields attrs (fun ~col attr raw -> parse_cell ~col line attr raw) in
+    let cells = fields attrs (fun ~col -> parse_cell ~col line) in
     let tm =
       let col, raw = field () in
       parse_membership ~col line raw
     in
     Ok { line; col = base_col; key; cells; tm }
 
+exception Field of error
+
+let get = function Ok v -> v | Error e -> raise_notrace (Field e)
+
 (* The row's tuple, or the first error among its fields, left to
    right. *)
 let tuple_of_row schema (r : row) =
-  let ( let* ) = Result.bind in
-  let rec all f acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* v = f x in
-        all f (v :: acc) rest
+  let cell c =
+    match get c with
+    | Value v -> Etuple.Definite v
+    | Evidence { mass; _ } -> Etuple.Evidence (get mass)
   in
-  let* key = all Fun.id [] r.key in
-  let* cells =
-    all
-      (fun c ->
-        match c with
-        | Ok (Value v) -> Ok (Etuple.Definite v)
-        | Ok (Evidence { mass = Ok m; _ }) -> Ok (Etuple.Evidence m)
-        | Ok (Evidence { mass = Error e; _ }) | Error e -> Error e)
-      [] r.cells
-  in
-  let* tm = Result.bind r.tm (fun m -> m.support) in
-  match Etuple.make schema ~key ~cells ~tm with
+  match
+    let key = List.map get r.key in
+    let cells = List.map cell r.cells in
+    Etuple.make schema ~key ~cells ~tm:(get (get r.tm).support)
+  with
   | t -> Ok t
+  | exception Field e -> Error e
   | exception Etuple.Tuple_error m -> error Schema ~col:r.col r.line "%s" m
 
 (* The row parsed against a known schema, as a tuple. *)
@@ -310,11 +278,8 @@ let scan input f init =
   let blocks = ref [] in
   let current = ref None in
   let flush () =
-    match !current with
-    | Some b ->
-        blocks := b :: !blocks;
-        current := None
-    | None -> ()
+    Option.iter (fun b -> blocks := b :: !blocks) !current;
+    current := None
   in
   let directive lineno start stop =
     let indent = blanks input start stop in
@@ -337,13 +302,8 @@ let scan input f init =
           else begin
             let name = body () in
             current :=
-              Some
-                { rname = name;
-                  rline = lineno;
-                  keys = [];
-                  attrs = [];
-                  failed = None;
-                  rows = [] };
+              Some { rname = name; rline = lineno; keys = []; attrs = [];
+                     failed = None; rows = [] };
             emit (Header { line = lineno; col = body_col; name })
           end
       | word -> (
@@ -369,9 +329,7 @@ let scan input f init =
   in
   let rec lines lineno start =
     let stop =
-      match String.index_from_opt input start '\n' with
-      | Some k -> k
-      | None -> n
+      Option.value (String.index_from_opt input start '\n') ~default:n
     in
     directive lineno start stop;
     if stop < n then lines (lineno + 1) (stop + 1)
@@ -399,7 +357,8 @@ let scan input f init =
       emit (Block { line = b.rline; name = b.rname; schema });
       List.iter
         (fun (lineno, col, first, stop) ->
-          emit (Row (parse_row ~base_col:col lineno ~keys ~attrs input first stop)))
+          emit
+            (Row (parse_row ~base_col:col lineno ~keys ~attrs input first stop)))
         (List.rev b.rows))
     !blocks;
   !acc

@@ -39,16 +39,13 @@ val to_string : Relation.t -> string
 
 (** {2 The scan}
 
-    The one [.erd] grammar. {!scan} parses a file in a single pass and
-    hands each piece to a fold: the loader stops at the first error, the
-    linter ([Analysis.Erd_lint]) folds the same items and collects every
-    finding. The items come in the loader's order of precedence:
-    - first the line scan, in line order: relation headers, attribute
-      declarations and directive errors;
-    - then each block, from the last to the first: its schema, then its
-      rows in line order.
-
-    Each field of a row parses on its own, to a value or to a positioned
+    The one [.erd] grammar, in one pass. The loader folds it and stops
+    at the first error; the linter ([Analysis.Erd_lint]) folds it and
+    collects every finding. Items come in the loader's order of
+    precedence: the line scan first, in line order (headers,
+    declarations, directive errors); then each block, from the last to
+    the first, as its schema and then its rows in line order. Each
+    field of a row parses on its own, to a value or to a positioned
     error, so a bad field does not hide the next one. *)
 
 type error_kind =
@@ -73,19 +70,16 @@ type decl = {
   name : string;  (** [""] when the line names no attribute *)
   attr : Attr.t parsed;
 }
-(** A [key] or [attr] line. A named declaration holds a column of its
-    block's rows even when its kind is bad; a cell in that column parses
-    to the declaration's own error. *)
+(** A named declaration holds a column of its block's rows even when
+    its kind is bad; a cell in that column parses to its error. *)
 
 type cell =
-  | Value of Dst.Value.t  (** a definite cell *)
+  | Value of Dst.Value.t
   | Evidence of {
       col : int;
       frame : Dst.Domain.t;
-      entries : Dst.Evidence.entry list;
-          (** as written: see {!Dst.Evidence.parse} *)
-      mass : Dst.Evidence.t parsed;
-          (** what {!Dst.Evidence.of_entries} makes of [entries] *)
+      entries : Dst.Evidence.entry list;  (** {!Dst.Evidence.parse} *)
+      mass : Dst.Evidence.t parsed;  (** {!Dst.Evidence.of_entries} *)
     }
 
 type membership = {
@@ -105,17 +99,15 @@ type row = {
 
 type item =
   | Header of { line : int; col : int; name : string }
-      (** [relation name]; [col] is the name's column *)
   | Decl of decl
   | Directive_error of error
-      (** an unnamed relation, an unknown directive, or a declaration or
-          row before any relation header *)
+      (** an unnamed relation, an unknown directive, or a line before
+          any relation header *)
   | Block of { line : int; name : string; schema : Schema.t parsed }
-      (** a relation block once its lines are all read. The schema is the
-          first failed declaration's error if one failed, else
-          {!Schema.make}'s verdict. *)
+      (** a block once all its lines are read: the first failed
+          declaration's error, else {!Schema.make}'s verdict *)
   | Row of row parsed
-      (** a [tuple] line of the block last delivered; an [Arity] error
+      (** a [tuple] line of the last block delivered; an [Arity] error
           when its field count is wrong *)
 
 val scan : string -> ('a -> item -> 'a) -> 'a -> 'a

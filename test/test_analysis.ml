@@ -5,8 +5,10 @@
    - unit: each diagnostic code fires on a minimal trigger and stays
      silent on the clean sample;
    - agreement (qcheck): serialized generated relations lint clean and
-     load; textually mutated corpora both lint dirty and fail to load —
-     the linter and Erm.Io agree on validity in both directions;
+     load; textually mutated corpora both lint dirty and fail to load,
+     and a corrupted evidence cell is a lint error exactly when it is a
+     load error — the linter and Erm.Io agree on validity in both
+     directions;
    - soundness (qcheck): a plan the checker proves statically empty
      evaluates to the empty relation. *)
 
@@ -256,6 +258,52 @@ let mutations_rejected_twice =
             | exception _ -> true
           in
           lint_dirty && load_fails)
+
+(* Corruptions of the first evidence cell of the first tuple row, one
+   per seed: a bad escape in a quoted literal, a [{}] focal, an
+   unterminated [\[] and a [1/0] mass are load errors; a duplicated
+   focal of zero mass only draws warnings, and the file still loads. *)
+let corrupt_evidence seed text =
+  let corrupt row =
+    let i = String.index row '[' + 1 in
+    let before = String.sub row 0 i
+    and after = String.sub row i (String.length row - i) in
+    match seed mod 5 with
+    | 0 -> before ^ "\"a\\q\"^0; " ^ after
+    | 1 -> before ^ "{}^0; " ^ after
+    | 2 ->
+        let j = String.index after ']' in
+        before ^ String.sub after 0 j
+        ^ String.sub after (j + 1) (String.length after - j - 1)
+    | 3 -> before ^ "~^1/0; " ^ after
+    | _ -> before ^ "~^0; ~^0; " ^ after
+  in
+  let rec go = function
+    | [] -> None
+    | l :: rest when String.length l > 6 && String.sub l 0 6 = "tuple " ->
+        Some (corrupt l :: rest)
+    | l :: rest -> Option.map (List.cons l) (go rest)
+  in
+  Option.map (String.concat "\n") (go (String.split_on_char '\n' text))
+
+(* Lint reports an error exactly when the loader raises Io_error, and
+   neither raises anything else. *)
+let lint_errors_iff_load_fails =
+  prop "lint errors iff load raises Io_error on corrupted cells" seed_arb
+    (fun seed ->
+      match corrupt_evidence seed (Erm.Io.to_string (gen_relation seed)) with
+      | None -> true
+      | Some text ->
+          let lint_dirty =
+            List.exists D.is_error (Analysis.Erd_lint.lint_string text)
+          in
+          let load_fails =
+            match Erm.Io.relations_of_string text with
+            | _ -> false
+            | exception Erm.Io.Io_error _ -> true
+          in
+          lint_dirty = load_fails
+          && (seed mod 5 = 4) <> load_fails)
 
 (* --- soundness: statically empty ⇒ evaluates empty (qcheck) --------- *)
 
@@ -633,4 +681,5 @@ let () =
           Alcotest.test_case "sweep metrics" `Quick test_sweep_metrics ] );
       ( "properties",
         [ lint_accepts_iff_loads; mutations_rejected_twice;
+          lint_errors_iff_load_fails;
           static_empty_sound; sweep_clean_generated ] ) ]
