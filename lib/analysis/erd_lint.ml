@@ -189,14 +189,14 @@ let lint_string ?file input =
   (* Key uniqueness in key order, on parsed values (the loader's
      comparison, so 353 and "353" collide exactly when load says they
      do). Each later row of an equal run is a duplicate. *)
-  let same_key (b1, _, k1, _, _) (b2, _, k2, _, _) =
+  let compare_key (b1, _, k1, _, _) (b2, _, k2, _, _) =
     match Int.compare b1 b2 with
     | 0 -> List.compare Dst.Value.compare k1 k2
     | c -> c
   in
   let rec duplicates = function
     | a :: ((_, name, k, line, col) as b) :: rest ->
-        if same_key a b = 0 then
+        if compare_key a b = 0 then
           error ~line ~col ~code:"E013" "duplicate key (%s) in relation %s"
             (String.concat ", " (List.map Dst.Value.to_string k))
             name;
@@ -206,7 +206,7 @@ let lint_string ?file input =
   duplicates
     (List.sort
        (fun ((_, _, _, l1, _) as a) ((_, _, _, l2, _) as b) ->
-         match same_key a b with 0 -> Int.compare l1 l2 | c -> c)
+         match compare_key a b with 0 -> Int.compare l1 l2 | c -> c)
        !keys);
   List.sort Diagnostic.compare !diags
 

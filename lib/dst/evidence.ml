@@ -25,13 +25,31 @@ let ends_literal c =
   is_space c
   || match c with '[' | ']' | '{' | '}' | ';' | ',' | '^' -> true | _ -> false
 
+(* The scanning loops are top-level functions: a local recursive
+   function over [input] would allocate a closure on every token. *)
+let rec skip_space input i =
+  if i < String.length input && is_space input.[i] then skip_space input (i + 1)
+  else i
+
+let rec literal_end input j =
+  if j < String.length input && not (ends_literal input.[j]) then
+    literal_end input (j + 1)
+  else j
+
+(* The closing quote of a quoted string literal, honouring backslash
+   escapes. *)
+let rec quote_end input j =
+  if j >= String.length input then
+    raise (Parse_error (input, "unterminated string literal"))
+  else if input.[j] = '\\' then quote_end input (j + 2)
+  else if input.[j] = '"' then j
+  else quote_end input (j + 1)
+
 (* The token at or after [!pos]; moves [pos] past it. *)
 let next input pos =
-  let n = String.length input in
-  let rec skip i = if i < n && is_space input.[i] then skip (i + 1) else i in
-  let i = skip !pos in
-  if i >= n then (
-    pos := n;
+  let i = skip_space input !pos in
+  if i >= String.length input then (
+    pos := String.length input;
     Eof)
   else (
     pos := i + 1;
@@ -45,23 +63,11 @@ let next input pos =
     | '^' -> Caret
     | '~' -> Omega
     | '"' ->
-        (* Quoted string literal: scan to the closing quote, honouring
-           backslash escapes. *)
-        let rec close j =
-          if j >= n then
-            raise (Parse_error (input, "unterminated string literal"))
-          else if input.[j] = '\\' then close (j + 2)
-          else if input.[j] = '"' then j
-          else close (j + 1)
-        in
-        let j = close (i + 1) in
+        let j = quote_end input (i + 1) in
         pos := j + 1;
         Lit (String.sub input i (j - i + 1))
     | _ ->
-        let rec stop j =
-          if j < n && not (ends_literal input.[j]) then stop (j + 1) else j
-        in
-        let j = stop i in
+        let j = literal_end input i in
         pos := j;
         Lit (String.sub input i (j - i)))
 

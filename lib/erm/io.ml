@@ -215,40 +215,30 @@ let parse_row ~base_col line ~keys ~attrs s first stop =
     in
     Ok { line; col = base_col; key; cells; tm }
 
-exception Field of error
+let get = function Ok v -> v | Error e -> raise_error e
 
-let get = function Ok v -> v | Error e -> raise_notrace (Field e)
-
-(* The row's tuple, or the first error among its fields, left to
-   right. *)
+(* The row's tuple. @raise Io_error at the first error among its
+   fields, left to right. *)
 let tuple_of_row schema (r : row) =
   let cell c =
     match get c with
     | Value v -> Etuple.Definite v
     | Evidence { mass; _ } -> Etuple.Evidence (get mass)
   in
-  match
-    let key = List.map get r.key in
-    let cells = List.map cell r.cells in
-    Etuple.make schema ~key ~cells ~tm:(get (get r.tm).support)
-  with
-  | t -> Ok t
-  | exception Field e -> Error e
-  | exception Etuple.Tuple_error m -> error Schema ~col:r.col r.line "%s" m
+  let key = List.map get r.key in
+  let cells = List.map cell r.cells in
+  try Etuple.make schema ~key ~cells ~tm:(get (get r.tm).support)
+  with Etuple.Tuple_error m -> fail ~col:r.col r.line "%s" m
 
 (* The row parsed against a known schema, as a tuple. *)
 let tuple_of_fields schema ~base_col line s first stop =
   let layout = List.map Result.ok in
-  match
-    Result.bind
-      (parse_row ~base_col line
-         ~keys:(layout (Schema.key schema))
-         ~attrs:(layout (Schema.nonkey schema))
-         s first stop)
-      (tuple_of_row schema)
-  with
-  | Ok t -> t
-  | Error e -> raise_error e
+  tuple_of_row schema
+    (get
+       (parse_row ~base_col line
+          ~keys:(layout (Schema.key schema))
+          ~attrs:(layout (Schema.nonkey schema))
+          s first stop))
 
 type item =
   | Header of { line : int; col : int; name : string }
@@ -336,8 +326,8 @@ let scan input f init =
   in
   lines 1 0;
   flush ();
-  (* Blocks newest first, the loader's order since it first checked
-     whole blocks. *)
+  (* Blocks newest first: the loader reports a later block's error
+     before an earlier block's. *)
   List.iter
     (fun b ->
       let keys = List.rev b.keys and attrs = List.rev b.attrs in
@@ -364,13 +354,11 @@ let scan input f init =
   !acc
 
 let add_row r (row : row) =
-  match tuple_of_row (Relation.schema r) row with
-  | Error e -> raise_error e
-  | Ok tuple -> (
-      try Relation.add r tuple
-      with
-      | Relation.Duplicate_key _ -> fail ~col:row.col row.line "duplicate key"
-      | Relation.Relation_error m -> fail ~col:row.col row.line "%s" m)
+  let tuple = tuple_of_row (Relation.schema r) row in
+  try Relation.add r tuple
+  with
+  | Relation.Duplicate_key _ -> fail ~col:row.col row.line "duplicate key"
+  | Relation.Relation_error m -> fail ~col:row.col row.line "%s" m
 
 (* The scan delivers blocks last to first, so consing gives file
    order. *)
