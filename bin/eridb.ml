@@ -15,7 +15,7 @@
    every query operator (and .analyze) out over N shards on N domains —
    results are bit-identical to the default path by the conformance
    harness's contract, with metrics, tracing and the flight recorder
-   running at full parallelism through per-worker buffers.
+   running at full parallelism through one telemetry buffer per task.
    ERIDB_CLOCK=virtual replaces the wall clock with a simulated one, so
    all durations are deterministic (0). *)
 

@@ -15,7 +15,7 @@ let key_label t = String.concat ", " (List.map Dst.Value.to_string (Erm.Etuple.k
 
 let rollup_prefix = "dst.combine.kappa_by_source."
 
-let kappa_rollups ?registry () =
+let kappa_rollups () =
   List.filter_map
     (fun (name, stat) ->
       match stat with
@@ -31,7 +31,7 @@ let kappa_rollups ?registry () =
               rollup_max = max;
             }
       | _ -> None)
-    (Obs.Metrics.with_prefix ?registry rollup_prefix)
+    (Obs.Metrics.with_prefix rollup_prefix)
 
 (* Combine nodes inside an absorption Step's [from, to) range carry the
    per-cell merge κ values; the Step's args name the absorbed source. *)

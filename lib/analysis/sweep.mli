@@ -27,10 +27,9 @@
 val checks : Checkdef.check list
 (** The S-checks, ascending by code. *)
 
-val kappa_rollups :
-  ?registry:Obs.Metrics.registry -> unit -> Checkdef.kappa_rollup list
+val kappa_rollups : unit -> Checkdef.kappa_rollup list
 (** Read the [dst.combine.kappa_by_source.*] histograms back from the
-    metrics registry (default: the ambient one), sorted by source. *)
+    metrics registry, sorted by source. *)
 
 val merge_records : unit -> Checkdef.merge_record list
 (** Every [Combine] node inside an absorption [Step] range of the

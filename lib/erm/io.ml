@@ -36,6 +36,36 @@ let trim_bounds s i stop =
   let rec last j = if j > i && space s.[j - 1] then last (j - 1) else j in
   (i, last stop)
 
+(* The first [sep] in [s.[i] .. s.[stop-1]] outside a double-quoted
+   literal, or [stop]. A backslash inside a literal escapes the next
+   character; an unterminated literal runs to [stop]. Top-level, so a
+   row's scan allocates nothing. *)
+let rec next_sep sep s i stop =
+  if i >= stop then stop
+  else if s.[i] = sep then i
+  else if s.[i] = '"' then next_sep sep s (after_quote s (i + 1) stop) stop
+  else next_sep sep s (i + 1) stop
+
+and after_quote s i stop =
+  if i >= stop then stop
+  else if s.[i] = '\\' then after_quote s (i + 2) stop
+  else if s.[i] = '"' then i + 1
+  else after_quote s (i + 1) stop
+
+(* [got] plus the number of [sep]s in [s.[i] .. s.[stop-1]] outside
+   quoted literals. *)
+let rec count_seps sep s i stop got =
+  let j = next_sep sep s i stop in
+  if j >= stop then got else count_seps sep s (j + 1) stop (got + 1)
+
+(* The trimmed, non-empty pieces of [s.[i] .. s.[stop-1]] between the
+   [sep]s outside quoted literals. *)
+let rec split_outside_quotes sep s i stop =
+  let j = next_sep sep s i stop in
+  let piece = String.trim (String.sub s i (j - i)) in
+  let rest = if j >= stop then [] else split_outside_quotes sep s (j + 1) stop in
+  if piece = "" then rest else piece :: rest
+
 let string_mentions haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -67,11 +97,7 @@ let parse_attr_decl ~col ~key line body =
           decl name
             (error Declaration ~col:kcol line "expected evidence {v1, v2, …}")
         else
-          let values =
-            String.split_on_char ',' (String.sub spec 1 (n - 2))
-            |> List.map String.trim
-            |> List.filter (fun v -> v <> "")
-          in
+          let values = split_outside_quotes ',' spec 1 (n - 1) in
           decl name
             (match List.map Dst.Value.of_literal values with
             | [] -> error Domain ~col:kcol line "empty evidence domain"
@@ -168,20 +194,16 @@ type row = {
    follows from the positions of the '|' separators. *)
 let parse_row ~base_col line ~keys ~attrs s first stop =
   let expected = List.length keys + List.length attrs + 1 in
-  let got = ref 1 in
-  for i = first to stop - 1 do
-    if s.[i] = '|' then incr got
-  done;
-  if !got <> expected then
+  let got = count_seps '|' s first stop 1 in
+  if got <> expected then
     error Arity ~col:base_col line "expected %d |-separated fields, got %d"
-      expected !got
+      expected got
   else
     let pos = ref first in
     (* The next field's column and trimmed text. *)
     let field () =
       let a = !pos in
-      let rec bar j = if j < stop && s.[j] <> '|' then bar (j + 1) else j in
-      let b = bar a in
+      let b = next_sep '|' s a stop in
       pos := b + 1;
       let col =
         if base_col = 0 then 0 else base_col + (a - first) + blanks s a b
@@ -260,8 +282,9 @@ type block = {
 
 (* One pass over the lines, by index: directives are checked and
    declarations parsed as they come, tuple rows are kept as bounds into
-   [input] and parsed once their block's schema is known. *)
-let scan input f init =
+   [input] and parsed once their block's schema is known. [lines] holds
+   the number of the line read last. *)
+let scan_lines lines input f init =
   let acc = ref init in
   let emit item = acc := f !acc item in
   let n = String.length input in
@@ -317,14 +340,15 @@ let scan input f init =
               emit (Directive_error (bad "unknown directive %s" other)))
     end
   in
-  let rec lines lineno start =
+  let rec read lineno start =
     let stop =
       Option.value (String.index_from_opt input start '\n') ~default:n
     in
+    lines := lineno;
     directive lineno start stop;
-    if stop < n then lines (lineno + 1) (stop + 1)
+    if stop < n then read (lineno + 1) (stop + 1)
   in
-  lines 1 0;
+  read 1 0;
   flush ();
   (* Blocks newest first: the loader reports a later block's error
      before an earlier block's. *)
@@ -360,25 +384,30 @@ let add_row r (row : row) =
   | Relation.Duplicate_key _ -> fail ~col:row.col row.line "duplicate key"
   | Relation.Relation_error m -> fail ~col:row.col row.line "%s" m
 
+let scan input f init = scan_lines (ref 0) input f init
+
 (* The scan delivers blocks last to first, so consing gives file
-   order. *)
+   order. io.parse.lines counts the lines the scan read: all of them
+   (newlines + 1) unless a directive or declaration fails first. *)
 let relations_of_string input =
-  let newlines = ref 0 in
-  String.iter (fun c -> if c = '\n' then incr newlines) input;
-  Obs.Metrics.incr ~by:(!newlines + 1) "io.parse.lines";
-  scan input
-    (fun rels item ->
-      match item with
-      | Header _ | Decl { attr = Ok _; _ } -> rels
-      | Directive_error e
-      | Decl { attr = Error e; _ }
-      | Block { schema = Error e; _ }
-      | Row (Error e) ->
-          raise_error e
-      | Block { schema = Ok s; _ } -> Relation.empty s :: rels
-      | Row (Ok row) -> (
-          match rels with r :: rest -> add_row r row :: rest | [] -> rels))
-    []
+  let lines = ref 0 in
+  let load () =
+    scan_lines lines input
+      (fun rels item ->
+        match item with
+        | Header _ | Decl { attr = Ok _; _ } -> rels
+        | Directive_error e
+        | Decl { attr = Error e; _ }
+        | Block { schema = Error e; _ }
+        | Row (Error e) ->
+            raise_error e
+        | Block { schema = Ok s; _ } -> Relation.empty s :: rels
+        | Row (Ok row) -> (
+            match rels with r :: rest -> add_row r row :: rest | [] -> rels))
+      []
+  in
+  Fun.protect load ~finally:(fun () ->
+      Obs.Metrics.incr ~by:!lines "io.parse.lines")
 
 let relation_of_string input =
   match relations_of_string input with

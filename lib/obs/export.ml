@@ -52,8 +52,8 @@ let write_file path content =
 
 let write_chrome ?from t path = write_file path (chrome ?from t)
 
-let metrics_text ?registry () =
-  match Metrics.snapshot ?registry () with
+let metrics_text () =
+  match Metrics.snapshot () with
   | [] -> "(no metrics recorded)\n"
   | stats ->
       String.concat ""
@@ -72,26 +72,24 @@ let metrics_text ?registry () =
                    name count sum min max last p50 p95 p99)
            stats)
 
-let metrics_json ?registry () =
+(* A metric's value as JSON: the one rendering behind the metrics file
+   and the flight dump's metrics line. *)
+let metric_json = function
+  | Metrics.Counter n -> string_of_int n
+  | Metrics.Gauge v -> Printf.sprintf "{\"gauge\":%g}" v
+  | Metrics.Histogram { count; sum; min; max; last; p50; p95; p99; _ } ->
+      Printf.sprintf
+        "{\"count\":%d,\"sum\":%g,\"min\":%g,\"max\":%g,\"last\":%g,\"quantiles\":{\"p50\":%g,\"p95\":%g,\"p99\":%g}}"
+        count sum min max last p50 p95 p99
+
+let metrics_json () =
   let field (name, stat) =
-    let value =
-      match stat with
-      | Metrics.Counter n -> string_of_int n
-      | Metrics.Gauge v -> Printf.sprintf "{\"gauge\":%g}" v
-      | Metrics.Histogram { count; sum; min; max; last; p50; p95; p99; _ } ->
-          Printf.sprintf
-            "{\"count\":%d,\"sum\":%g,\"min\":%g,\"max\":%g,\"last\":%g,\"quantiles\":{\"p50\":%g,\"p95\":%g,\"p99\":%g}}"
-            count sum min max last p50 p95 p99
-    in
-    Printf.sprintf "  %s: %s" (json_escape name) value
+    Printf.sprintf "  %s: %s" (json_escape name) (metric_json stat)
   in
-  match Metrics.snapshot ?registry () with
+  match Metrics.snapshot () with
   | [] -> "{}\n"
   | stats ->
       "{\n" ^ String.concat ",\n" (List.map field stats) ^ "\n}\n"
-
-let write_metrics_json ?registry path =
-  write_file path (metrics_json ?registry ())
 
 (* ---- Prometheus text exposition ---------------------------------- *)
 
@@ -138,10 +136,7 @@ let help_exact =
     ("integration.mean_kappa", "Mean conflict mass per integrated conflict.");
     ("provenance.nodes", "Live nodes in the provenance arena.");
     ("provenance.max_depth", "Deepest derivation in the provenance arena.");
-    ("analysis.sweep.runs", "Data-quality sweeps executed.");
-    ("obs.gc.minor_words", "Minor-heap words allocated (Gc.quick_stat).");
-    ("obs.gc.major_words", "Major-heap words allocated (Gc.quick_stat).");
-    ("obs.gc.compactions", "Heap compactions performed.") ]
+    ("analysis.sweep.runs", "Data-quality sweeps executed.") ]
 
 let help_prefix =
   [ ( "dst.combine.kappa_by_source.",
@@ -153,8 +148,7 @@ let help_prefix =
     ("store.recovery.", "Evidence-store recovery activity.");
     ("analysis.", "Data-quality sweep rollup.");
     ("federation.", "Federation runtime activity.");
-    ("exec.", "Sharded executor activity.");
-    ("obs.gc.", "Collector pressure sampled at span close.") ]
+    ("exec.", "Sharded executor activity.") ]
 
 let help_for name =
   match List.assoc_opt name help_exact with
@@ -176,7 +170,7 @@ let help_for name =
       in
       (match best with Some (_, h) -> h | None -> "eridb metric.")
 
-let metrics_prom ?registry () =
+let metrics_prom () =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (name, stat) ->
@@ -208,13 +202,13 @@ let metrics_prom ?registry () =
             buckets;
           Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" p sum);
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" p count))
-    (Metrics.snapshot ?registry ());
+    (Metrics.snapshot ());
   Buffer.contents buf
 
-let write_metrics ?registry path =
-  if Filename.check_suffix path ".prom" then
-    write_file path (metrics_prom ?registry ())
-  else write_metrics_json ?registry path
+let write_metrics path =
+  write_file path
+    (if Filename.check_suffix path ".prom" then metrics_prom ()
+     else metrics_json ())
 
 (* ---- Provenance exports ------------------------------------------ *)
 
@@ -340,24 +334,13 @@ let events_jsonl ?last () =
   String.concat "" (List.map (fun e -> event_jsonl e ^ "\n") (Log.events ?last ()))
 
 (* One compact line so the flight dump stays greppable line-by-line. *)
-let metrics_line ?registry () =
-  let field (name, stat) =
-    let value =
-      match stat with
-      | Metrics.Counter n -> string_of_int n
-      | Metrics.Gauge v -> Printf.sprintf "{\"gauge\":%g}" v
-      | Metrics.Histogram { count; sum; min; max; last; p50; p95; p99; _ } ->
-          Printf.sprintf
-            "{\"count\":%d,\"sum\":%g,\"min\":%g,\"max\":%g,\"last\":%g,\"quantiles\":{\"p50\":%g,\"p95\":%g,\"p99\":%g}}"
-            count sum min max last p50 p95 p99
-    in
-    json_escape name ^ ":" ^ value
-  in
+let metrics_line () =
+  let field (name, stat) = json_escape name ^ ":" ^ metric_json stat in
   Printf.sprintf "{\"metrics\":{%s}}\n"
-    (String.concat "," (List.map field (Metrics.snapshot ?registry ())))
+    (String.concat "," (List.map field (Metrics.snapshot ())))
 
-let flight ?last ?registry () = events_jsonl ?last () ^ metrics_line ?registry ()
-let write_flight ?last ?registry path = write_file path (flight ?last ?registry ())
+let flight ?last () = events_jsonl ?last () ^ metrics_line ()
+let write_flight ?last path = write_file path (flight ?last ())
 
 (* ---- Protected output flushing ----------------------------------- *)
 

@@ -18,33 +18,31 @@ val chrome : ?from:int -> Trace.t -> string
 val write_chrome : ?from:int -> Trace.t -> string -> unit
 (** [write_chrome t path]: {!chrome} to a file. *)
 
-val metrics_text : ?registry:Metrics.registry -> unit -> string
+val metrics_text : unit -> string
 (** One metric per line, name-sorted:
     [counter dst.combine.calls 42]. Histograms show
     [count/sum/min/max/last] plus interpolated [p50/p95/p99]. Empty
     registries produce ["(no metrics recorded)\n"]. *)
 
-val metrics_json : ?registry:Metrics.registry -> unit -> string
+val metrics_json : unit -> string
 (** A JSON object keyed by metric name, one metric per line; counters
     are numbers, gauges [{"gauge": v}], histograms an object with
     [count/sum/min/max/last] and a [quantiles] object holding
     [p50/p95/p99]. *)
-
-val write_metrics_json : ?registry:Metrics.registry -> string -> unit
 
 val help_for : string -> string
 (** The [# HELP] text for a metric name: exact table entries first,
     then the longest matching family prefix (per-source and
     per-operator rollups), then a generic fallback. *)
 
-val metrics_prom : ?registry:Metrics.registry -> unit -> string
+val metrics_prom : unit -> string
 (** Prometheus text exposition: [# HELP] then [# TYPE] headers per
     metric, names prefixed [eridb_] with non-alphanumerics mangled to
     [_]. Histograms emit cumulative [_bucket{le="…"}] series (only
     bounds where the count steps, plus [+Inf]), then [_sum] and
     [_count]. *)
 
-val write_metrics : ?registry:Metrics.registry -> string -> unit
+val write_metrics : string -> unit
 (** Dispatch on extension: [.prom] writes {!metrics_prom}, anything
     else {!metrics_json}. *)
 
@@ -72,11 +70,11 @@ val events_jsonl : ?last:int -> unit -> string
 (** The surviving journal, one {!event_jsonl} line per event, oldest
     first; with [last], only the final [n]. *)
 
-val flight : ?last:int -> ?registry:Metrics.registry -> unit -> string
+val flight : ?last:int -> unit -> string
 (** The crash-dump payload: {!events_jsonl} followed by one compact
     [{"metrics": …}] line holding the metrics snapshot. *)
 
-val write_flight : ?last:int -> ?registry:Metrics.registry -> string -> unit
+val write_flight : ?last:int -> string -> unit
 (** [write_flight path]: {!flight} to a file — the [--flight-out]
     payload. *)
 

@@ -1,19 +1,10 @@
 type severity = Debug | Info | Warn | Error
 
-let rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
 let severity_to_string = function
   | Debug -> "debug"
   | Info -> "info"
   | Warn -> "warn"
   | Error -> "error"
-
-let severity_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
 
 type kind =
   | Retry
@@ -50,35 +41,23 @@ type event = {
    journal keeps the most recent [capacity] surviving events; older
    ones are overwritten in place, never shifted, so recording is O(1)
    and allocation-free apart from the event itself. *)
-type t = {
-  mutable l_clock : Clock.t;
-  mutable l_live : bool;
-  mutable l_min : severity;
-  mutable ring : event option array;
-  mutable next_seq : int;
-}
+let cap = 256
+let ring : event option array = Array.make cap None
+let next_seq = ref 0
+let clock = ref (Clock.wall ())
+let live = ref false
 
-let default_capacity = 256
-
-let default =
-  { l_clock = Clock.wall ();
-    l_live = false;
-    l_min = Debug;
-    ring = Array.make default_capacity None;
-    next_seq = 0 }
-
-let on () = default.l_live
-let set_clock c = default.l_clock <- c
-let set_min_severity s = default.l_min <- s
-let min_severity () = default.l_min
-let capacity () = Array.length default.ring
+let on () = !live
+let enable () = live := true
+let disable () = live := false
+let set_clock c = clock := c
+let capacity () = cap
 
 let events ?last () =
-  let cap = Array.length default.ring in
-  let lo = max 0 (default.next_seq - cap) in
+  let lo = max 0 (!next_seq - cap) in
   let all = ref [] in
-  for seq = default.next_seq - 1 downto lo do
-    match default.ring.(seq mod cap) with
+  for seq = !next_seq - 1 downto lo do
+    match ring.(seq mod cap) with
     | Some e when e.seq = seq -> all := e :: !all
     | _ -> ()
   done;
@@ -90,80 +69,25 @@ let events ?last () =
       let len = List.length all in
       if len <= n then all else List.filteri (fun i _ -> i >= len - n) all
 
-let set_capacity cap =
-  if cap <= 0 then invalid_arg "Obs.Log.set_capacity: capacity must be > 0";
-  let kept = events ~last:cap () in
-  let ring = Array.make cap None in
-  List.iter (fun e -> ring.(e.seq mod cap) <- Some e) kept;
-  default.ring <- ring
-
-let enable ?capacity () =
-  (match capacity with Some c -> set_capacity c | None -> ());
-  default.l_live <- true
-
-let disable () = default.l_live <- false
-
 let clear () =
-  Array.fill default.ring 0 (Array.length default.ring) None;
-  default.next_seq <- 0
-
-let admit severity = default.l_live && rank severity >= rank default.l_min
+  Array.fill ring 0 cap None;
+  next_seq := 0
 
 let insert ~ts_ms ~severity ~kind ~fields message =
-  let seq = default.next_seq in
-  default.next_seq <- seq + 1;
-  let cap = Array.length default.ring in
-  default.ring.(seq mod cap) <- Some { seq; ts_ms; severity; kind; message; fields }
+  let seq = !next_seq in
+  next_seq := seq + 1;
+  ring.(seq mod cap) <- Some { seq; ts_ms; severity; kind; message; fields }
 
-(* Per-domain buffer mode, mirroring [Metrics]: workers append
-   sequence-free pending events to an unbounded local list; the
-   coordinating domain replays them at the pool barrier in task-index
-   order, assigning sequence numbers then — so the journal (including
-   any ring wrap-around) is byte-identical to a single-worker run. *)
-type pending = {
-  p_ts : float;
-  p_severity : severity;
-  p_kind : kind;
-  p_message : string;
-  p_fields : (string * string) list;
-}
-
-type buffer = { mutable pend : pending list (* most recent first *) }
-
-let sink : buffer option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let fork () = if default.l_live then Some { pend = [] } else None
-
-let with_buffer buf f =
-  match buf with
-  | None -> f ()
-  | Some _ ->
-      let prev = Domain.DLS.get sink in
-      Domain.DLS.set sink buf;
-      Fun.protect ~finally:(fun () -> Domain.DLS.set sink prev) f
-
-let merge = function
-  | None -> ()
-  | Some b ->
-      List.iter
-        (fun p ->
-          if admit p.p_severity then
-            insert ~ts_ms:p.p_ts ~severity:p.p_severity ~kind:p.p_kind
-              ~fields:p.p_fields p.p_message)
-        (List.rev b.pend)
-
+(* Inside a pool task the event is buffered without a sequence number;
+   the merge inserts it on the coordinating domain, in task order, so
+   numbering (and any ring wrap-around) is the inline run's. *)
 let record ?(severity = Info) ?(fields = []) kind message =
-  if admit severity then
-    let ts = default.l_clock.Clock.now_ms () in
-    match Domain.DLS.get sink with
+  if !live then
+    let ts_ms = !clock.Clock.now_ms () in
+    match Sink.installed () with
     | Some b ->
-        b.pend <-
-          { p_ts = ts;
-            p_severity = severity;
-            p_kind = kind;
-            p_message = message;
-            p_fields = fields }
-          :: b.pend
-    | None -> insert ~ts_ms:ts ~severity ~kind ~fields message
+        Sink.push b (fun () -> insert ~ts_ms ~severity ~kind ~fields message)
+    | None -> insert ~ts_ms ~severity ~kind ~fields message
 
 let pp_event ppf e =
   let fields =

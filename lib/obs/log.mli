@@ -6,9 +6,9 @@
     merges), the combination kernel (κ-escalations, quarantines), the
     evidence store (commits, recovery anomalies), the sharded executor
     and the combine cache record one event per noteworthy transition.
-    The ring keeps the most recent [capacity] events (default 256) and
-    overwrites older ones in place — recording is O(1), and a crash
-    dump ([--flight-out]) is just the surviving suffix.
+    The ring keeps the most recent 256 events and overwrites older ones
+    in place — recording is O(1), and a crash dump ([--flight-out]) is
+    just the surviving suffix.
 
     Like {!Metrics} and {!Trace}, the process-wide recorder starts
     disabled; every site guards on {!on}, so an unobserved run pays one
@@ -16,11 +16,7 @@
 
 type severity = Debug | Info | Warn | Error
 
-val rank : severity -> int
-(** [Debug] = 0 … [Error] = 3; used by the min-severity filter. *)
-
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 (** The closed event vocabulary. Adding a constructor is an API change
     on purpose: consumers (the JSONL export, the REPL, dashboards) get
@@ -50,8 +46,7 @@ type event = {
 val on : unit -> bool
 (** Is the recorder live? The hot-path guard. *)
 
-val enable : ?capacity:int -> unit -> unit
-(** Start recording; with [capacity], resize the ring first. *)
+val enable : unit -> unit
 
 val disable : unit -> unit
 
@@ -59,22 +54,14 @@ val set_clock : Clock.t -> unit
 (** Timestamps come from this clock (default: wall). A simulated clock
     makes journals deterministic. *)
 
-val set_capacity : int -> unit
-(** Resize the ring, keeping the most recent events that fit. Raises
-    [Invalid_argument] when the capacity is not positive. *)
-
 val capacity : unit -> int
-
-val set_min_severity : severity -> unit
-(** Events below this rank are dropped at the recording site. *)
-
-val min_severity : unit -> severity
+(** The ring's size: 256. *)
 
 val record :
   ?severity:severity -> ?fields:(string * string) list -> kind -> string -> unit
-(** Append one event (default severity [Info]). No-op when disabled or
-    below the min severity. Inside a worker fork (see {!with_buffer})
-    the event lands in the domain-local buffer instead of the ring. *)
+(** Append one event (default severity [Info]). No-op when disabled.
+    Inside a pool task the event lands in the task's buffer (see the
+    last section). *)
 
 val events : ?last:int -> unit -> event list
 (** Surviving events in sequence order (oldest first); with [last],
@@ -82,21 +69,16 @@ val events : ?last:int -> unit -> event list
 
 val clear : unit -> unit
 
-(** {2 Per-domain buffers}
-
-    Mirror of {!Metrics}'s buffer mode: workers append sequence-free
-    pending events to an unbounded local list; the coordinating domain
-    replays them at the pool barrier in task-index order, assigning
-    sequence numbers then — so the journal (including ring wrap-around)
-    is byte-identical to a single-worker run. *)
-
-type buffer
-
-val fork : unit -> buffer option
-val with_buffer : buffer option -> (unit -> 'a) -> 'a
-val merge : buffer option -> unit
-
 val pp_event : Format.formatter -> event -> unit
 (** [#seq severity kind message (k=v, …)] — the REPL [.events] line. *)
 
 val pp_events : Format.formatter -> event list -> unit
+
+(** {2 Inside a pool task}
+
+    [Query.Pool] runs each task with one {!Sink} buffer installed (see
+    {!Telemetry}). {!record} then stamps the event on the task's
+    domain and appends it to the buffer without a sequence number. The
+    merge inserts the buffered events on the coordinating domain, in
+    task order, so sequence numbers, and any ring wrap-around, are
+    those of an inline run. *)

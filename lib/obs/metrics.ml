@@ -38,11 +38,6 @@ type histo = {
 
 type metric = M_counter of int ref | M_gauge of float ref | M_histo of histo
 
-type registry = {
-  table : (string, metric) Hashtbl.t;
-  mutable live : bool;
-}
-
 type stat =
   | Counter of int
   | Gauge of float
@@ -58,13 +53,12 @@ type stat =
       buckets : (float * int) list;
     }
 
-let create () = { table = Hashtbl.create 64; live = true }
-let default = { table = Hashtbl.create 64; live = false }
-let on () = default.live
-let enable () = default.live <- true
-let disable () = default.live <- false
-
-let reset ?(registry = default) () = Hashtbl.reset registry.table
+let table : (string, metric) Hashtbl.t = Hashtbl.create 64
+let live = ref false
+let on () = !live
+let enable () = live := true
+let disable () = live := false
+let reset () = Hashtbl.reset table
 
 let kind_error name =
   invalid_arg
@@ -72,128 +66,70 @@ let kind_error name =
 
 (* Lookup-or-create under a fixed kind; the double branch keeps the
    common path (name already bound, right kind) allocation-free. *)
-let direct_incr registry by name =
-  if registry.live then
-    match Hashtbl.find_opt registry.table name with
-    | Some (M_counter c) -> c := !c + by
-    | Some _ -> kind_error name
-    | None -> Hashtbl.add registry.table name (M_counter (ref by))
+let direct_incr by name =
+  match Hashtbl.find_opt table name with
+  | Some (M_counter c) -> c := !c + by
+  | Some _ -> kind_error name
+  | None -> Hashtbl.add table name (M_counter (ref by))
 
-let direct_gauge registry name v =
-  if registry.live then
-    match Hashtbl.find_opt registry.table name with
-    | Some (M_gauge g) -> g := v
-    | Some _ -> kind_error name
-    | None -> Hashtbl.add registry.table name (M_gauge (ref v))
+let direct_gauge name v =
+  match Hashtbl.find_opt table name with
+  | Some (M_gauge g) -> g := v
+  | Some _ -> kind_error name
+  | None -> Hashtbl.add table name (M_gauge (ref v))
 
-let direct_observe registry name v =
-  if registry.live then
-    match Hashtbl.find_opt registry.table name with
-    | Some (M_histo h) ->
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        h.h_last <- v;
-        let i = bucket_index v in
-        h.h_buckets.(i) <- h.h_buckets.(i) + 1
-    | Some _ -> kind_error name
-    | None ->
-        let h =
-          { h_count = 1;
-            h_sum = v;
-            h_min = v;
-            h_max = v;
-            h_last = v;
-            h_buckets = Array.make bucket_count 0 }
-        in
-        h.h_buckets.(bucket_index v) <- 1;
-        Hashtbl.add registry.table name (M_histo h)
+let direct_observe name v =
+  match Hashtbl.find_opt table name with
+  | Some (M_histo h) ->
+      h.h_count <- h.h_count + 1;
+      h.h_sum <- h.h_sum +. v;
+      if v < h.h_min then h.h_min <- v;
+      if v > h.h_max then h.h_max <- v;
+      h.h_last <- v;
+      let i = bucket_index v in
+      h.h_buckets.(i) <- h.h_buckets.(i) + 1
+  | Some _ -> kind_error name
+  | None ->
+      let h =
+        { h_count = 1;
+          h_sum = v;
+          h_min = v;
+          h_max = v;
+          h_last = v;
+          h_buckets = Array.make bucket_count 0 }
+      in
+      h.h_buckets.(bucket_index v) <- 1;
+      Hashtbl.add table name (M_histo h)
 
-(* Per-domain buffer mode: a forked buffer logs the exact operation
-   sequence a worker performed; merging replays those ops against the
-   default registry on the coordinating domain, in task-index order.
-   Replaying (rather than adding partial aggregates) reproduces the
-   sequential float-accumulation order bit-for-bit, so merged dumps are
-   byte-identical to a single-worker run. *)
-type op =
-  | Op_incr of string * int
-  | Op_gauge of string * float
-  | Op_observe of string * float
+(* The live flag is tested before the domain-local lookup, so a site
+   without its own guard costs one load while metrics are off. Inside a
+   pool task the write itself is buffered and replayed at the merge, in
+   task order, so float sums accumulate in the inline run's order. *)
+let incr ?(by = 1) name =
+  if !live then
+    match Sink.installed () with
+    | Some b -> Sink.push b (fun () -> direct_incr by name)
+    | None -> direct_incr by name
 
-type buffer = { mutable ops : op list (* most recent first *) }
+let gauge name v =
+  if !live then
+    match Sink.installed () with
+    | Some b -> Sink.push b (fun () -> direct_gauge name v)
+    | None -> direct_gauge name v
 
-let sink : buffer option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let fork () = if default.live then Some { ops = [] } else None
+let observe name v =
+  if !live then
+    match Sink.installed () with
+    | Some b -> Sink.push b (fun () -> direct_observe name v)
+    | None -> direct_observe name v
 
-let with_buffer buf f =
-  match buf with
-  | None -> f ()
-  | Some _ ->
-      let prev = Domain.DLS.get sink in
-      Domain.DLS.set sink buf;
-      Fun.protect ~finally:(fun () -> Domain.DLS.set sink prev) f
-
-let merge = function
-  | None -> ()
-  | Some b ->
-      List.iter
-        (function
-          | Op_incr (n, by) -> direct_incr default by n
-          | Op_gauge (n, v) -> direct_gauge default n v
-          | Op_observe (n, v) -> direct_observe default n v)
-        (List.rev b.ops)
-
-(* Unqualified writes route through the per-domain sink when one is
-   installed; explicit-registry writes always go direct. *)
-let incr ?registry ?(by = 1) name =
-  match registry with
-  | Some r -> direct_incr r by name
-  | None -> (
-      match Domain.DLS.get sink with
-      | Some b -> b.ops <- Op_incr (name, by) :: b.ops
-      | None -> direct_incr default by name)
-
-let gauge ?registry name v =
-  match registry with
-  | Some r -> direct_gauge r name v
-  | None -> (
-      match Domain.DLS.get sink with
-      | Some b -> b.ops <- Op_gauge (name, v) :: b.ops
-      | None -> direct_gauge default name v)
-
-let observe ?registry name v =
-  match registry with
-  | Some r -> direct_observe r name v
-  | None -> (
-      match Domain.DLS.get sink with
-      | Some b -> b.ops <- Op_observe (name, v) :: b.ops
-      | None -> direct_observe default name v)
-
-(* GC pressure gauges, sampled at top-level span close (see
-   [Trace.with_span]) so BENCH sweeps can correlate throughput cliffs
-   with collector activity. Off by default: [Gc.quick_stat] is cheap
-   but not free, and the gauges would perturb byte-identity checks that
-   do not expect them. *)
-let gc_sampling = ref false
-let enable_gc_sampling () = gc_sampling := true
-let disable_gc_sampling () = gc_sampling := false
-
-let sample_gc () =
-  if default.live && !gc_sampling then begin
-    let s = Gc.quick_stat () in
-    gauge "obs.gc.minor_words" s.Gc.minor_words;
-    gauge "obs.gc.major_words" s.Gc.major_words;
-    gauge "obs.gc.compactions" (float_of_int s.Gc.compactions)
-  end
-
-let counter ?(registry = default) name =
-  match Hashtbl.find_opt registry.table name with
+let counter name =
+  match Hashtbl.find_opt table name with
   | Some (M_counter c) -> !c
   | Some _ | None -> 0
 
-let last ?(registry = default) name =
-  match Hashtbl.find_opt registry.table name with
+let last name =
+  match Hashtbl.find_opt table name with
   | Some (M_histo h) -> Some h.h_last
   | Some (M_gauge g) -> Some !g
   | Some (M_counter _) | None -> None
@@ -255,16 +191,16 @@ let stat_of = function
           p99 = quantile h 0.99;
           buckets = cumulative_buckets h }
 
-let snapshot ?(registry = default) () =
-  Hashtbl.fold (fun name m acc -> (name, stat_of m) :: acc) registry.table []
+let snapshot () =
+  Hashtbl.fold (fun name m acc -> (name, stat_of m) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let with_prefix ?(registry = default) prefix =
+let with_prefix prefix =
   let n = String.length prefix in
   Hashtbl.fold
     (fun name m acc ->
       if String.length name >= n && String.sub name 0 n = prefix then
         (name, stat_of m) :: acc
       else acc)
-    registry.table []
+    table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -1,4 +1,4 @@
-type event = {
+type event = Sink.span = {
   id : int;
   parent : int option;
   depth : int;
@@ -9,119 +9,62 @@ type event = {
   dur_ms : float;
 }
 
-type t = {
-  mutable t_clock : Clock.t;
-  mutable t_live : bool;
+type t = Sink.tracer = {
+  mutable clock : Clock.t;
+  mutable live : bool;
   mutable next_id : int;
   mutable stack : int list;  (* open span ids, innermost first *)
-  mutable done_ : event list;  (* completed spans, most recent first *)
+  mutable spans : event list;  (* completed spans, most recent first *)
 }
 
-let create ?clock () =
-  let clock = match clock with Some c -> c | None -> Clock.wall () in
-  { t_clock = clock; t_live = true; next_id = 0; stack = []; done_ = [] }
+let create ?(clock = Clock.wall ()) () =
+  { clock; live = true; next_id = 0; stack = []; spans = [] }
 
 let default =
-  { t_clock = Clock.wall ();
-    t_live = false;
-    next_id = 0;
-    stack = [];
-    done_ = [] }
+  { clock = Clock.wall (); live = false; next_id = 0; stack = []; spans = [] }
 
-let set_clock t c = t.t_clock <- c
-let clock t = t.t_clock
-let enable t = t.t_live <- true
-let disable t = t.t_live <- false
-let live t = t.t_live
-let on () = default.t_live
+let set_clock t c = t.clock <- c
+let clock t = t.clock
+let enable t = t.live <- true
+let disable t = t.live <- false
+let live t = t.live
+let on () = default.live
 
 let count t = t.next_id
 
-(* Per-domain buffer mode. A fork captures the enclosing open span (and
-   its depth) on the coordinating domain plus the parent's clock; the
-   worker then records into a private tracer with ids from 0. Merging
-   renumbers ids to [base + id] (base = the default tracer's next_id at
-   merge time), reparents local roots under the captured span, and
-   offsets depths — so merging forks in task-index order reproduces
-   exactly the id sequence a single-worker inline run would have
-   allocated. *)
-type buffer = { b_tracer : t; b_parent : int option; b_depth : int }
-
-let sink : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let fork () =
-  if not default.t_live then None
-  else
-    Some
-      { b_tracer =
-          { t_clock = default.t_clock;
-            t_live = true;
-            next_id = 0;
-            stack = [];
-            done_ = [] };
-        b_parent = (match default.stack with [] -> None | p :: _ -> Some p);
-        b_depth = List.length default.stack }
-
-let with_buffer buf f =
-  match buf with
-  | None -> f ()
-  | Some b ->
-      let prev = Domain.DLS.get sink in
-      Domain.DLS.set sink (Some b.b_tracer);
-      Fun.protect ~finally:(fun () -> Domain.DLS.set sink prev) f
-
-let merge = function
-  | None -> ()
-  | Some b ->
-      let local = b.b_tracer in
-      let base = default.next_id in
-      let remapped =
-        List.map
-          (fun e ->
-            { e with
-              id = base + e.id;
-              parent =
-                (match e.parent with
-                | Some p -> Some (base + p)
-                | None -> b.b_parent);
-              depth = e.depth + b.b_depth })
-          local.done_
-      in
-      default.done_ <- remapped @ default.done_;
-      default.next_id <- base + local.next_id
-
+(* Without an explicit tracer, a span lands in this domain's installed
+   buffer (see [Telemetry]) or else in [default]. *)
 let with_span ?tracer ?(cat = "app") ?(args = []) name f =
   let tracer =
     match tracer with
     | Some t -> t
     | None -> (
-        match Domain.DLS.get sink with Some t -> t | None -> default)
+        match Sink.installed () with Some b -> b.tracer | None -> default)
   in
-  if not tracer.t_live then f ()
+  if not tracer.live then f ()
   else begin
     let id = tracer.next_id in
     tracer.next_id <- id + 1;
     let parent = match tracer.stack with [] -> None | p :: _ -> Some p in
     let depth = List.length tracer.stack in
     tracer.stack <- id :: tracer.stack;
-    let t0 = tracer.t_clock.Clock.now_ms () in
+    let t0 = tracer.clock.Clock.now_ms () in
     Fun.protect
       ~finally:(fun () ->
-        let dur_ms = tracer.t_clock.Clock.now_ms () -. t0 in
+        let dur_ms = tracer.clock.Clock.now_ms () -. t0 in
         (match tracer.stack with
         | top :: rest when top = id -> tracer.stack <- rest
         | _ -> ());
-        tracer.done_ <-
+        tracer.spans <-
           { id; parent; depth; name; cat; args; ts_ms = t0; dur_ms }
-          :: tracer.done_;
-        if tracer == default && tracer.stack = [] then Metrics.sample_gc ())
+          :: tracer.spans)
       f
   end
 
 let events t =
-  List.sort (fun a b -> compare a.id b.id) (List.rev t.done_)
+  List.sort (fun a b -> compare a.id b.id) (List.rev t.spans)
 
-let clear t = t.done_ <- []
+let clear t = t.spans <- []
 
 type tree = { event : event; children : tree list }
 
@@ -181,6 +124,6 @@ let summary t =
         | None -> (0, 0.0)
       in
       Hashtbl.replace table e.name (n + 1, d +. e.dur_ms))
-    t.done_;
+    t.spans;
   Hashtbl.fold (fun name (n, d) acc -> (name, n, d) :: acc) table []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

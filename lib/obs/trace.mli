@@ -11,7 +11,7 @@
     disabled and every compiled-in site guards on {!on}; a disabled
     [with_span] is a single boolean load and a direct call. *)
 
-type event = {
+type event = Sink.span = {
   id : int;  (** Start-order identity, unique per tracer. *)
   parent : int option;  (** Enclosing span, if any. *)
   depth : int;  (** 0 for roots. *)
@@ -22,7 +22,8 @@ type event = {
   dur_ms : float;
 }
 
-type t
+type t = Sink.tracer
+(** A tracer's state. Write to it only through this module. *)
 
 val create : ?clock:Clock.t -> unit -> t
 (** A fresh, enabled tracer (default clock: {!Clock.wall}). *)
@@ -50,10 +51,8 @@ val with_span :
 (** Run the thunk inside a span (default tracer, default category
     ["app"]). The span is recorded even when the thunk raises. When the
     tracer is disabled this is just the call. Without an explicit
-    [tracer], the span lands in this domain's installed fork buffer
-    when one is active (see {!with_buffer}). Closing a top-level span
-    on the default tracer also samples the [obs.gc.*] gauges when
-    {!Metrics.enable_gc_sampling} is on. *)
+    [tracer], the span lands in this domain's installed buffer when a
+    pool task has one (see {!Telemetry}). *)
 
 val count : t -> int
 (** Spans recorded so far. Remember it before a unit of work to slice
@@ -81,28 +80,12 @@ val summary : t -> (string * int * float) list
 (** Per-name aggregation over all recorded spans: (name, count, total
     duration in ms), sorted by name. *)
 
-(** {2 Per-domain buffers}
+(** {2 Inside a pool task}
 
-    Mirror of {!Metrics}'s buffer mode. A fork captures the enclosing
-    open span and its depth on the coordinating domain; the worker
-    records spans into a private tracer with local ids from 0. Merging
-    renumbers local ids to [base + id], reparents local roots under the
-    captured span, and offsets depths — merging forks at the pool
-    barrier in task-index order reproduces the exact id sequence a
-    single-worker inline run would allocate, so span forests are
-    byte-identical regardless of worker count. *)
-
-type buffer
-
-val fork : unit -> buffer option
-(** A fresh buffer rooted at the currently open default-tracer span, or
-    [None] when the default tracer is disabled. *)
-
-val with_buffer : buffer option -> (unit -> 'a) -> 'a
-(** Run [f] with the buffer installed as this domain's span sink;
-    restores the previous sink even on exceptions. [None] runs [f]
-    bare. *)
-
-val merge : buffer option -> unit
-(** Splice a forked buffer's spans into {!default}. Call from the
-    coordinating domain, in task-index order. *)
+    [Query.Pool] runs each task with one {!Sink} buffer installed (see
+    {!Telemetry}). Unqualified spans then go to the buffer's private
+    tracer, with local ids from 0. The merge renumbers them to
+    [base + id], where [base] is {!default}'s span count at the merge,
+    hangs local roots under the span that was open at fork time and
+    offsets depths, so the merged forest is the one an inline run
+    records. Spans on an explicit [~tracer] bypass the buffer. *)

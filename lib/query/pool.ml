@@ -3,20 +3,14 @@
    establishes the necessary happens-before edges. *)
 
 let run_parallel ~domains ~tasks f =
-  (* Telemetry fork: one buffer triple per task, created on the
-     coordinating domain (so trace forks capture the enclosing span)
-     before any worker starts. Each buffer is written by exactly one
-     task and merged only after every join, like the result slots. All
-     three fork to [None] when the corresponding recorder is off, so an
-     unobserved run allocates three arrays of [None] and nothing else. *)
-  let m_bufs = Array.init tasks (fun _ -> Obs.Metrics.fork ()) in
-  let t_bufs = Array.init tasks (fun _ -> Obs.Trace.fork ()) in
-  let l_bufs = Array.init tasks (fun _ -> Obs.Log.fork ()) in
-  let instrumented i =
-    Obs.Metrics.with_buffer m_bufs.(i) (fun () ->
-        Obs.Trace.with_buffer t_bufs.(i) (fun () ->
-            Obs.Log.with_buffer l_bufs.(i) (fun () -> f i)))
-  in
+  (* Telemetry fork: one buffer per task, created on the coordinating
+     domain (so it captures the enclosing span) before any worker
+     starts. Each buffer is written by exactly one task and merged only
+     after every join, like the result slots. A fork is [None] when no
+     recorder is live, so an unobserved run allocates one array of
+     [None] and nothing else. *)
+  let bufs = Array.init tasks (fun _ -> Obs.Telemetry.fork ()) in
+  let instrumented i = Obs.Telemetry.with_buffer bufs.(i) (fun () -> f i) in
   let results = Array.make tasks None in
   let next = Atomic.make 0 in
   let worker () =
@@ -47,9 +41,7 @@ let run_parallel ~domains ~tasks f =
      reproduces it byte for byte. *)
   let merge_through k =
     for i = 0 to k do
-      Obs.Metrics.merge m_bufs.(i);
-      Obs.Trace.merge t_bufs.(i);
-      Obs.Log.merge l_bufs.(i)
+      Obs.Telemetry.merge bufs.(i)
     done
   in
   (* Ascending scan, not Array.map, so the lowest-numbered failure wins

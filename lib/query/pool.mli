@@ -13,15 +13,15 @@
     The executor honours that proviso by giving each task its own
     interner, scratch and cache; the process-global telemetry stores
     are handled by the pool itself. Before spawning, the parallel path
-    forks one [Obs.Metrics] / [Obs.Trace] / [Obs.Log] buffer per task
-    (on the calling domain, so trace forks hang off the enclosing
-    span); each task records into its own buffers via domain-local
-    sinks, and after every worker is joined the buffers are merged
-    back in task-index order. Merging replays the recorded operations,
-    so counters, histogram state, span forests and the event journal
-    are byte-identical to an inline single-worker run — whatever the
-    worker count. Provenance recording has no buffered mode; the
-    executor runs one shard while it is on.
+    forks one [Obs.Telemetry] buffer per task (on the calling domain,
+    so it hangs off the enclosing span); each task records metrics,
+    spans and journal events into its own buffer, and after every
+    worker is joined the buffers are merged back in task-index order.
+    Merging replays the recorded operations, so counters, histogram
+    state, span forests and the event journal are byte-identical to an
+    inline single-worker run — whatever the worker count. Provenance
+    recording has no buffered mode; the executor runs one shard while
+    it is on.
 
     Worker counts larger than the machine's core count are valid (the
     extra domains just time-share); CI runs this on one core.

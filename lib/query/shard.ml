@@ -41,12 +41,17 @@ let by_value ~shards ~attr r =
    and a Duplicate_key escape means the partition invariant broke — fail
    loudly rather than mask it. *)
 let merge parts =
-  let now () = (Obs.Trace.clock Obs.Trace.default).Obs.Clock.now_ms () *. 1e6 in
-  let t0 = now () in
-  let out =
+  let fold () =
     Array.fold_left Erm.Relation.disjoint_union
       (Erm.Relation.empty (Erm.Relation.schema parts.(0)))
       parts
   in
-  Obs.Metrics.observe "exec.merge.ns" (now () -. t0);
-  out
+  if not (Obs.Metrics.on ()) then fold ()
+  else
+    let now () =
+      (Obs.Trace.clock Obs.Trace.default).Obs.Clock.now_ms () *. 1e6
+    in
+    let t0 = now () in
+    let out = fold () in
+    Obs.Metrics.observe "exec.merge.ns" (now () -. t0);
+    out

@@ -296,6 +296,87 @@ let qcheck_merged_telemetry =
           && String.equal t_ref (trace_rollup_for ~shards:8 ~domains env qs))
         [ 2; 4; 8 ])
 
+(* Every recorder at once: metrics, spans and the journal, under an
+   escalation policy low enough that shard workers record Escalation
+   events of their own. The rendering is the metrics text, the span
+   forest with its Chrome export, and the journal's JSONL. Like the
+   exec.workers gauge, the [workers] field of a Shard_spawn event
+   reports the worker count itself, so it is stripped too. *)
+let escalating =
+  Dst.Rule.make
+    ~escalation:
+      (Dst.Rule.escalate ~kappa0:0.2 (Dst.Rule.Fallback Dst.Rule.Averaging))
+    Dst.Rule.Dempster
+
+let find_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let strip_worker_field jsonl =
+  let field = {|,"workers":"|} in
+  String.split_on_char '\n' jsonl
+  |> List.map (fun line ->
+         match find_sub line field with
+         | None -> line
+         | Some i ->
+             let j = String.index_from line (i + String.length field) '"' in
+             String.sub line 0 i
+             ^ String.sub line (j + 1) (String.length line - j - 1))
+  |> String.concat "\n"
+
+let all_recorders_for ~shards ~domains env qs =
+  P.reset_scan_cache ();
+  let t = Obs.Trace.default in
+  with_virtual_clock (fun () ->
+      with_metrics (fun () ->
+          Obs.Log.set_clock (Obs.Clock.simulated ());
+          Obs.Log.clear ();
+          Obs.Log.enable ();
+          Obs.Trace.enable t;
+          Fun.protect
+            ~finally:(fun () ->
+              Obs.Trace.disable t;
+              Obs.Trace.clear t;
+              Obs.Log.disable ();
+              Obs.Log.clear ();
+              Obs.Log.set_clock (Obs.Clock.wall ()))
+            (fun () ->
+              let from = Obs.Trace.count t in
+              let ctx = P.create_ctx () in
+              Dst.Rule.with_policy escalating (fun () ->
+                  List.iter
+                    (fun q ->
+                      ignore
+                        (P.eval_fast ~ctx ~sharded:(sharded shards domains) env
+                           q))
+                    qs);
+              String.concat ""
+                [ strip_worker_gauge (Obs.Export.metrics_text ());
+                  Format.asprintf "%a@." Obs.Trace.pp_forest
+                    (Obs.Trace.forest ~from t);
+                  Obs.Export.chrome ~from t;
+                  strip_worker_field (Obs.Export.events_jsonl ()) ])))
+
+let qcheck_all_recorders_merged =
+  QCheck.Test.make ~count:10
+    ~name:"all three recorders merged at once = inline run"
+    QCheck.(int_range 0 1000)
+    (fun n ->
+      let env, qs = queries (808 + n) in
+      let reference = all_recorders_for ~shards:8 ~domains:1 env qs in
+      if find_sub reference {|"kind":"escalation"|} = None then
+        QCheck.Test.fail_report "no Escalation event recorded";
+      List.for_all
+        (fun domains ->
+          String.equal reference
+            (all_recorders_for ~shards:8 ~domains env qs))
+        [ 2; 4; 8 ])
+
 (* The measured tree, one line per node in preorder: operator, detail,
    row counts and index probes — everything in a report that must not
    depend on the fan-out (cache counters and times may). *)
@@ -514,6 +595,7 @@ let () =
           Alcotest.test_case "traces byte-identical across worker counts"
             `Quick traces_byte_identical_across_workers;
           QCheck_alcotest.to_alcotest qcheck_merged_telemetry;
+          QCheck_alcotest.to_alcotest qcheck_all_recorders_merged;
           Alcotest.test_case "report tree shard- and worker-invariant" `Quick
             report_tree_invariant;
           Alcotest.test_case "dst/cache counters shard-count-invariant"

@@ -152,7 +152,34 @@ tuple 2 | plain         | -0.5 | false | (0.3, 0.9)
   let t = Erm.Relation.find r [ V.int 1 ] in
   Alcotest.(check bool) "quoted string preserved" true
     (V.equal (V.string "hello world")
-       (Erm.Etuple.definite_value schema t "label"))
+       (Erm.Etuple.definite_value schema t "label"));
+  (* Separators inside quoted literals: a ',' in an evidence domain
+     value, a '|' in a key, a cell and a focal element, and an escaped
+     quote before the separator. *)
+  let input =
+    {|relation seps
+key id : string
+attr label : string
+attr e : evidence {"a, b", c, "x|y"}
+tuple "a|b"   | "p|q"     | ["a, b"^0.5; "x|y"^0.5] | (1, 1)
+tuple "\"|"  | plain     | [c^1]                   | (1, 1)
+|}
+  in
+  let r = Erm.Io.relation_of_string input in
+  let text = Erm.Io.to_string r in
+  let r' = Erm.Io.relation_of_string text in
+  Alcotest.(check bool) "quoted separators roundtrip" true
+    (Erm.Relation.equal r r');
+  let schema = Erm.Relation.schema r in
+  let t = Erm.Relation.find r [ V.string "a|b" ] in
+  Alcotest.(check bool) "'|' inside a quoted cell" true
+    (V.equal (V.string "p|q") (Erm.Etuple.definite_value schema t "label"));
+  Alcotest.(check int) "',' inside a quoted domain value" 3
+    (match Erm.Attr.kind (Erm.Schema.find schema "e") with
+    | Erm.Attr.Evidential frame -> Dst.Domain.size frame
+    | Erm.Attr.Definite _ -> 0);
+  Alcotest.(check bool) "escaped quote before '|'" true
+    (Erm.Relation.mem r [ V.string {|"||} ])
 
 let test_csv_roundtrip () =
   let r = Erm.Io.relation_of_string sample in

@@ -37,28 +37,28 @@ let with_default_tracing ?clock f =
 (* --- metrics registry ------------------------------------------------ *)
 
 let test_counters () =
-  let r = M.create () in
-  M.incr ~registry:r "a";
-  M.incr ~registry:r ~by:4 "a";
-  M.incr ~registry:r "b";
-  check_int "a accumulated" 5 (M.counter ~registry:r "a");
-  check_int "b accumulated" 1 (M.counter ~registry:r "b");
-  check_int "unbound counter reads 0" 0 (M.counter ~registry:r "zzz")
+  with_default_metrics @@ fun () ->
+  M.incr "a";
+  M.incr ~by:4 "a";
+  M.incr "b";
+  check_int "a accumulated" 5 (M.counter "a");
+  check_int "b accumulated" 1 (M.counter "b");
+  check_int "unbound counter reads 0" 0 (M.counter "zzz")
 
 let test_gauges_histograms () =
-  let r = M.create () in
-  M.gauge ~registry:r "g" 1.5;
-  M.gauge ~registry:r "g" 2.5;
-  M.observe ~registry:r "h" 3.0;
-  M.observe ~registry:r "h" 1.0;
-  M.observe ~registry:r "h" 2.0;
-  (match M.last ~registry:r "g" with
+  with_default_metrics @@ fun () ->
+  M.gauge "g" 1.5;
+  M.gauge "g" 2.5;
+  M.observe "h" 3.0;
+  M.observe "h" 1.0;
+  M.observe "h" 2.0;
+  (match M.last "g" with
   | Some v -> check "gauge keeps last" true (Float.equal v 2.5)
   | None -> Alcotest.fail "gauge missing");
-  (match M.last ~registry:r "h" with
+  (match M.last "h" with
   | Some v -> check "histogram last" true (Float.equal v 2.0)
   | None -> Alcotest.fail "histogram missing");
-  match M.snapshot ~registry:r () with
+  match M.snapshot () with
   | [ ("g", M.Gauge _); ("h", M.Histogram { count; sum; min; max; last; _ }) ]
     ->
       check_int "histogram count" 3 count;
@@ -69,11 +69,11 @@ let test_gauges_histograms () =
   | _ -> Alcotest.fail "snapshot shape (should be name-sorted g, h)"
 
 let test_kind_collision () =
-  let r = M.create () in
-  M.incr ~registry:r "x";
+  with_default_metrics @@ fun () ->
+  M.incr "x";
   Alcotest.check_raises "observe on a counter name"
     (Invalid_argument "Obs.Metrics: x is already bound to another kind")
-    (fun () -> M.observe ~registry:r "x" 1.0)
+    (fun () -> M.observe "x" 1.0)
 
 let test_disabled_default_noops () =
   M.reset ();
@@ -144,16 +144,14 @@ let test_summary () =
 
 (* --- flight recorder ------------------------------------------------- *)
 
-let with_default_log ?capacity f =
+let with_default_log f =
   L.set_clock (Obs.Clock.simulated ());
   L.clear ();
-  L.enable ?capacity ();
+  L.enable ();
   Fun.protect
     ~finally:(fun () ->
       L.disable ();
-      L.clear ();
-      L.set_capacity 256;
-      L.set_min_severity L.Debug)
+      L.clear ())
     f
 
 let test_log_disabled_noop () =
@@ -181,61 +179,35 @@ let test_log_ordering () =
       | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs))
 
 let test_log_wraparound () =
-  with_default_log ~capacity:4 (fun () ->
-      for i = 0 to 5 do
+  with_default_log (fun () ->
+      let cap = L.capacity () in
+      check_int "the ring holds 256 events" 256 cap;
+      for i = 0 to cap + 1 do
         L.record L.Shard_spawn (Printf.sprintf "e%d" i)
       done;
       let evs = L.events () in
-      check_int "ring keeps capacity events" 4 (List.length evs);
+      check_int "ring keeps capacity events" cap (List.length evs);
       check "most recent survive, in sequence order" true
         (List.map (fun e -> (e.L.seq, e.L.message)) evs
-        = [ (2, "e2"); (3, "e3"); (4, "e4"); (5, "e5") ]);
+        = List.init cap (fun i -> (i + 2, Printf.sprintf "e%d" (i + 2))));
       check "last slices the tail" true
-        (List.map (fun e -> e.L.seq) (L.events ~last:2 ()) = [ 4; 5 ]))
-
-let test_log_severity_filter () =
-  with_default_log (fun () ->
-      L.set_min_severity L.Warn;
-      L.record ~severity:L.Debug L.Cache_evict "drop-me";
-      L.record L.Store_commit "drop-me-too" (* Info < Warn *);
-      L.record ~severity:L.Warn L.Degrade "keep";
-      L.record ~severity:L.Error L.Recovery_error "keep-too";
-      check "below-threshold events never take a sequence number" true
-        (List.map (fun e -> (e.L.seq, e.L.message)) (L.events ())
-        = [ (0, "keep"); (1, "keep-too") ]))
-
-let test_log_capacity_resize () =
-  with_default_log ~capacity:8 (fun () ->
-      for i = 0 to 4 do
-        L.record L.Shard_merge (Printf.sprintf "e%d" i)
-      done;
-      L.set_capacity 2;
-      check_int "resize reports" 2 (L.capacity ());
-      check "resize keeps the most recent fitting events" true
-        (List.map (fun e -> (e.L.seq, e.L.message)) (L.events ())
-        = [ (3, "e3"); (4, "e4") ]);
-      L.record L.Shard_merge "e5";
-      check "sequence numbering survives the resize" true
-        (List.map (fun e -> e.L.seq) (L.events ()) = [ 4; 5 ]);
-      Alcotest.check_raises "capacity must be positive"
-        (Invalid_argument "Obs.Log.set_capacity: capacity must be > 0")
-        (fun () -> L.set_capacity 0))
+        (List.map (fun e -> e.L.seq) (L.events ~last:2 ()) = [ cap; cap + 1 ]))
 
 let test_log_fork_merge () =
   with_default_log (fun () ->
       L.record L.Store_commit "before";
-      let buf = L.fork () in
+      let buf = Obs.Telemetry.fork () in
       check "fork yields a buffer while live" true (buf <> None);
-      L.with_buffer buf (fun () ->
+      Obs.Telemetry.with_buffer buf (fun () ->
           L.record ~severity:L.Warn L.Retry "buffered-1";
           L.record L.Degrade "buffered-2");
       check_int "buffered events invisible before merge" 1
         (List.length (L.events ()));
-      L.merge buf;
+      Obs.Telemetry.merge buf;
       check "merge replays in order with fresh seqs" true
         (List.map (fun e -> (e.L.seq, e.L.message)) (L.events ())
         = [ (0, "before"); (1, "buffered-1"); (2, "buffered-2") ]));
-  check "fork while disabled is free" true (L.fork () = None)
+  check "fork while disabled is free" true (Obs.Telemetry.fork () = None)
 
 let test_log_pp_and_jsonl () =
   with_default_log (fun () ->
@@ -284,31 +256,31 @@ let test_chrome_export () =
   check "args" true (has json {|"args":{"detail":"d"}|})
 
 let test_metrics_export () =
-  let r = M.create () in
-  M.incr ~registry:r ~by:3 "c";
-  M.observe ~registry:r "h" 1.5;
-  let json = Obs.Export.metrics_json ~registry:r () in
+  with_default_metrics @@ fun () ->
+  M.incr ~by:3 "c";
+  M.observe "h" 1.5;
+  let json = Obs.Export.metrics_json () in
   check_str "metrics json" "{\n  \"c\": 3,\n  \"h\": \
                             {\"count\":1,\"sum\":1.5,\"min\":1.5,\"max\":1.5,\"last\":1.5,\"quantiles\":{\"p50\":1.5,\"p95\":1.5,\"p99\":1.5}}\n}\n"
     json;
-  let text = Obs.Export.metrics_text ~registry:r () in
+  let text = Obs.Export.metrics_text () in
   check "text mentions counter" true
     (String.length text > 0 && text.[0] = 'c');
+  M.reset ();
   check_str "empty registry text" "(no metrics recorded)\n"
-    (Obs.Export.metrics_text ~registry:(M.create ()) ());
-  check_str "empty registry json" "{}\n"
-    (Obs.Export.metrics_json ~registry:(M.create ()) ())
+    (Obs.Export.metrics_text ());
+  check_str "empty registry json" "{}\n" (Obs.Export.metrics_json ())
 
 (* Pins the quantile estimator: samples 1..10 land in the {1,2,5}
    log-grid as 1→le1, 2→le2, {3,4,5}→le5, {6..10}→le10, and linear
    interpolation inside the crossing bucket gives exact rank
    estimates for this evenly-spread workload. *)
 let test_quantile_interpolation () =
-  let r = M.create () in
+  with_default_metrics @@ fun () ->
   for i = 1 to 10 do
-    M.observe ~registry:r "q" (float_of_int i)
+    M.observe "q" (float_of_int i)
   done;
-  match M.snapshot ~registry:r () with
+  match M.snapshot () with
   | [ ("q", M.Histogram { p50; p95; p99; buckets; _ }) ] ->
       check "p50 interpolates to 5" true (Float.equal p50 5.0);
       check "p95 interpolates to 9.5" true (Float.equal p95 9.5);
@@ -327,11 +299,11 @@ let test_quantile_interpolation () =
   | _ -> Alcotest.fail "snapshot shape"
 
 let test_prometheus_export () =
-  let r = M.create () in
-  M.incr ~registry:r ~by:3 "dst.combine.calls";
-  M.gauge ~registry:r "provenance.nodes" 7.0;
-  M.observe ~registry:r "h" 1.5;
-  let prom = Obs.Export.metrics_prom ~registry:r () in
+  with_default_metrics @@ fun () ->
+  M.incr ~by:3 "dst.combine.calls";
+  M.gauge "provenance.nodes" 7.0;
+  M.observe "h" 1.5;
+  let prom = Obs.Export.metrics_prom () in
   let has sub =
     let n = String.length sub and h = String.length prom in
     let rec go i = i + n <= h && (String.sub prom i n = sub || go (i + 1)) in
@@ -427,8 +399,6 @@ let () =
         [ t "disabled no-op" test_log_disabled_noop;
           t "ordering and defaults" test_log_ordering;
           t "ring wrap-around" test_log_wraparound;
-          t "severity filter" test_log_severity_filter;
-          t "capacity resize" test_log_capacity_resize;
           t "fork and merge" test_log_fork_merge;
           t "pp and jsonl export" test_log_pp_and_jsonl ] );
       ( "export",
