@@ -14,9 +14,9 @@
    exposition, anything else JSON); --flight-out journals typed
    flight-recorder events and dumps the surviving ring plus a metrics
    snapshot as JSONL, again even on error exits — a crash dump of what
-   happened last. --domains N with N > 1 runs the
-   merge through the sharded execution engine (N shards/workers); the
-   report is identical to the default path's by Degrade's contract.
+   happened last. --domains N with N > 1 partitions the
+   merge's absorption folds into N shards run by up to N workers; the
+   report is identical at every N.
    --rule selects the combination rule (dempster, yager, dubois-prade,
    averaging, discount[:alpha]); --kappa-threshold K --fallback ACTION
    adds a κ-escalation policy on top (combine with a fallback rule, or
@@ -380,20 +380,14 @@ let run files relations discount name query csv out report_only fault_plan
         budget_ms;
         conflict_discount = discount }
     in
-    (* The merge itself is swappable: with --domains N > 1 the sharded
-       engine's drop-in replaces Integration.Multi.integrate (identical
-       report, partitioned absorption folds). *)
-    let merge =
-      if domains > 1 then
-        Exec.Engine.integrate { Query.Physical.shards = domains; domains }
-      else Integration.Multi.integrate
-    in
+    let sharded = { Query.Physical.shards = domains; domains } in
     (* Combination exceptions escaping the runtime used to abort as an
        uncaught exception, bypassing the metrics flush; turn them into
        the typed source-failure exit instead. *)
     let* outcome =
       match
-        Federation.Degrade.integrate ~config ~seed ~integrate:merge ~clock
+        Federation.Degrade.integrate ~config ~seed
+          ~integrate:(Integration.Multi.integrate ~sharded) ~clock
           sources
       with
       | outcome -> Ok outcome
@@ -655,10 +649,9 @@ let domains_arg =
     value & opt domains_conv 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run the merge through the sharded execution engine with $(docv) \
-           shards and up to $(docv) parallel workers (default 1 = the \
-           classic sequential merge). The integration report is identical \
-           either way.")
+          "Partition the merge into $(docv) shards run by up to $(docv) \
+           parallel workers (default 1 = one sequential fold). The \
+           integration report is identical either way.")
 
 let store_arg =
   Arg.(

@@ -3,10 +3,11 @@
 
    A monitoring station keeps an evidential store of network hosts. Each
    "day", a batch of scanner observations arrives and is absorbed with
-   Integration.Incremental; the example tracks how the store's evidence
-   sharpens, logs the one poisoned observation as a conflict, and diffs
-   consecutive versions with Erm.Delta so an operator can review what a
-   day's intake actually changed. *)
+   Integration.Multi.absorb_delta, which visits only the batch's keys;
+   the example tracks how the store's evidence sharpens, logs the one
+   poisoned observation as a conflict, and diffs consecutive versions
+   with Erm.Delta so an operator can review what a day's intake
+   actually changed. *)
 
 let status = Dst.Domain.of_strings "status" [ "up"; "degraded"; "down" ]
 let role = Dst.Domain.of_strings "role" [ "web"; "db"; "cache" ]
@@ -40,11 +41,12 @@ let day2 =
 
 (* Day 3: one sensor insists bravo is a web host with certainty — in
    total conflict with the accumulated db-or-cache evidence (κ = 1).
-   The store must keep its state and log the conflict, not corrupt
-   itself. Had the stored evidence kept even a sliver of Ω, Dempster's
-   rule would instead have flipped the whole mass onto "web" — Zadeh's
-   classic overconfidence paradox; the discounted re-run below shows the
-   robust way to take such a sensor in. *)
+   The merge drops bravo and logs the conflict, exactly as a batch
+   integration of all three days would, rather than store a tuple it
+   cannot justify. Had the stored evidence kept even a sliver of Ω,
+   Dempster's rule would instead have flipped the whole mass onto
+   "web" — Zadeh's classic overconfidence paradox; the discounted
+   re-run below shows the robust way to take such a sensor in. *)
 let day3 =
   [ obs "bravo" "[up^0.9; ~^0.1]" "[web^1]";
     obs "carol" "[degraded^0.6; ~^0.4]" "[cache^0.8; ~^0.2]" ]
@@ -54,44 +56,46 @@ let day3_role_fixed =
   [ obs "bravo" "[up^0.9; ~^0.1]" "[web^0.6; ~^0.4]";
     obs "carol" "[degraded^0.6; ~^0.4]" "[cache^0.8; ~^0.2]" ]
 
-let show day store =
+(* One day's intake: the batch is one more source absorbed into the
+   store, in O(batch) rather than by re-integrating every day. *)
+let absorb day store batch =
+  Integration.Multi.absorb_delta ~into:store
+    { Integration.Multi.source_name = Printf.sprintf "day%d" day;
+      source_relation = Erm.Relation.of_tuples schema batch }
+
+let show day (store, conflicts, _) =
   Printf.printf "\n== after day %d ==\n" day;
-  Format.printf "%a@." Integration.Incremental.pp store;
-  Erm.Render.print ~title:"store" (Integration.Incremental.relation store)
+  Printf.printf "store of %d tuples (%d conflict(s) absorbing day %d)\n"
+    (Erm.Relation.cardinal store)
+    (List.length conflicts) day;
+  Erm.Render.print ~title:"store" store
 
 let () =
-  let store = Integration.Incremental.init schema in
-  let store1 = Integration.Incremental.observe_all store day1 in
-  show 1 store1;
+  let ((store1, _, _) as day1_result) =
+    absorb 1 (Erm.Relation.empty schema) day1
+  in
+  show 1 day1_result;
 
-  let store2 = Integration.Incremental.observe_all store1 day2 in
-  show 2 store2;
+  let ((store2, _, _) as day2_result) = absorb 2 store1 day2 in
+  show 2 day2_result;
   print_endline "what day 2 changed:";
-  Format.printf "%a@." Erm.Delta.pp
-    (Erm.Delta.diff
-       (Integration.Incremental.relation store1)
-       (Integration.Incremental.relation store2));
+  Format.printf "%a@." Erm.Delta.pp (Erm.Delta.diff store1 store2);
 
-  let store3 = Integration.Incremental.observe_all store2 day3 in
-  show 3 store3;
+  let ((_, conflicts3, _) as day3_result) = absorb 3 store2 day3 in
+  show 3 day3_result;
   print_endline "conflict log:";
-  List.iter
-    (fun c -> Format.printf "  %a@." Erm.Ops.pp_conflict c)
-    (Integration.Incremental.conflicts store3);
+  List.iter (fun c -> Format.printf "  %a@." Erm.Ops.pp_conflict c) conflicts3;
   print_endline
-    "(bravo kept its accumulated db role: a totally conflicting\n\
-    \ observation is quarantined, not merged)";
+    "(bravo is dropped: a totally conflicting pair is reported, not\n\
+    \ merged, and the store no longer vouches for it)";
 
   (* Re-running the day with the suspect sensor softened absorbs fine. *)
-  let store3' = Integration.Incremental.observe_all store2 day3_role_fixed in
+  let store3', _, _ = absorb 3 store2 day3_role_fixed in
   print_endline "\nthe same intake with the suspect sensor discounted:";
-  Format.printf "%a@." Erm.Delta.pp
-    (Erm.Delta.diff
-       (Integration.Incremental.relation store2)
-       (Integration.Incremental.relation store3'));
+  Format.printf "%a@." Erm.Delta.pp (Erm.Delta.diff store2 store3');
 
   (* Operational queries over the live store. *)
-  let env = [ ("hosts", Integration.Incremental.relation store3') ] in
+  let env = [ ("hosts", store3') ] in
   print_endline "\n> hosts that are likely up (SN > 0.6):";
   Erm.Render.print
     (Query.Eval.run env

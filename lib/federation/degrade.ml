@@ -128,7 +128,7 @@ let pp_status ppf = function
   | Failed e -> Format.fprintf ppf "failed: %a" Source.pp_error e
 
 let integrate ?(config = default) ?(seed = 0)
-    ?(integrate = Integration.Multi.integrate) ~clock sources =
+    ?(integrate = Integration.Multi.integrate ?sharded:None) ~clock sources =
   validate config;
   match sources with
   | [] -> Error No_sources

@@ -89,10 +89,11 @@ val integrate :
 (** Fetch all sources and integrate the survivors. [seed] (default 0)
     drives the backoff jitter; given the same seed, clock start, config
     and sources, the result is deterministic. [integrate] substitutes
-    the merge itself (default {!Integration.Multi.integrate}) — the
-    federate binary passes [Exec.Engine.integrate] here; any
-    substitute must be report-identical to the default, which the
-    sharded one is by the conformance harness's contract. Evidence
+    the merge itself (default {!Integration.Multi.integrate} on one
+    shard); any substitute must be report-identical to the default. The
+    seam is kept for the benchmark ledger, which passes a timed wrapper
+    around [Exec.Engine.integrate]; the federate binary passes
+    [Integration.Multi.integrate ~sharded]. Evidence
     combines under the session rule ({!Dst.Rule.current}): [?policy] is
     left to its default, so set the session rule before calling.
     @raise Invalid_argument on a malformed config. *)

@@ -63,19 +63,49 @@ let reliabilities ?(discount = false) ?(alpha_floor = 0.0) ?(prior = [])
       (s.source_name, Float.max alpha_floor (prior_alpha *. conflict_alpha)))
     sources
 
-let integrate_inner ?policy ?discount ?alpha_floor ?prior sources =
+let provenance_mark () =
+  if Obs.Provenance.on () then Obs.Provenance.count () else 0
+
+(* One absorption step per source: the [from, to) node range lets the
+   audit attribute every combination's κ to the source whose absorption
+   produced it. *)
+let record_step name mark =
+  if Obs.Provenance.on () then begin
+    let upto = Obs.Provenance.count () in
+    ignore
+      (Obs.Provenance.add Obs.Provenance.Step ("absorb " ^ name)
+         ~args:
+           [ ("source", name);
+             ("from", string_of_int mark);
+             ("to", string_of_int upto) ]);
+    if Obs.Metrics.on () then
+      for i = mark to upto - 1 do
+        let n = Obs.Provenance.node i in
+        match (n.Obs.Provenance.kind, n.Obs.Provenance.kappa) with
+        | Obs.Provenance.Combine, Some k ->
+            Obs.Metrics.observe ("dst.combine.kappa_by_source." ^ name) k
+        | _ -> ()
+      done
+  end
+
+let shard_event kind fields msg =
+  if Obs.Log.on () then
+    Obs.Log.record ~severity:Obs.Log.Debug
+      ~fields:(("op", "exec.integrate") :: fields)
+      kind (msg ^ " exec.integrate")
+
+let by_conflict_key c1 c2 =
+  List.compare Dst.Value.compare c1.Erm.Ops.conflict_key
+    c2.Erm.Ops.conflict_key
+
+let integrate_inner ?policy ?discount ?alpha_floor ?prior
+    ?(sharded = { Query.Physical.shards = 1; domains = 1 }) sources =
+  (* Knob validation precedes any observable work (provenance
+     registration included), even when there is nothing to fold. *)
+  ignore (reliabilities ?discount ?alpha_floor ?prior [] []);
   match sources with
-  | [] ->
-      (* Validate the knobs even when there is nothing to fold, keeping
-         the historical error precedence (Invalid_argument before
-         No_sources is not observable: both were raised before any
-         work). *)
-      ignore (reliabilities ?discount ?alpha_floor ?prior [] []);
-      raise No_sources
+  | [] -> raise No_sources
   | first :: rest ->
-      (* Knob validation precedes any observable work (provenance
-         registration included), as it always has. *)
-      ignore (reliabilities ?discount ?alpha_floor ?prior [] []);
       (* Sources register before any discounting or merging so that
          discount and combination hooks resolve their operands to
          Source leaves instead of anonymous operands. *)
@@ -85,6 +115,16 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior sources =
             Erm.Lineage.register_relation ~name:s.source_name
               s.source_relation)
           sources;
+      (* Lineage ids are allocation-ordered, so only an unpartitioned
+         run reproduces the arena: recording forces one shard. *)
+      let shards =
+        if Obs.Provenance.on () then 1 else max 1 sharded.Query.Physical.shards
+      in
+      let workers = max 1 sharded.Query.Physical.domains in
+      (* Reliabilities come from the global conflict matrix — a
+         per-shard matrix would change the discount rates — and sources
+         are discounted whole, a per-tuple operation, so partitioning
+         after discounting is exact. *)
       let matrix = conflict_matrix sources in
       let reliabilities =
         reliabilities ?discount ?alpha_floor ?prior matrix sources
@@ -102,51 +142,73 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior sources =
           d
         end
       in
-      let conflicts = ref [] in
-      (* One absorption step per source: the [from, to) node range lets
-         the audit attribute every combination's κ to the source whose
-         absorption produced it. *)
-      let absorb acc s =
-        let mark =
-          if Obs.Provenance.on () then Obs.Provenance.count () else 0
+      (* Partitions are lazy so that one inline shard discounts each
+         source inside its own absorption step, as the provenance
+         ranges require; several shards force them all before the
+         fan-out. *)
+      let parts s = lazy (Query.Shard.by_key ~shards (prepared s)) in
+      let first_parts = parts first in
+      let rest_parts = List.map (fun s -> (s.source_name, parts s)) rest in
+      (* Each shard folds its slice of every source, left to right, and
+         returns its conflict lists in absorption order. *)
+      let absorb_shard i =
+        let merged, confs =
+          List.fold_left
+            (fun (acc, confs) (name, parts) ->
+              let mark = provenance_mark () in
+              let part = (Lazy.force parts).(i) in
+              let merged, cs = Erm.Ops.union_report ?policy acc part in
+              record_step name mark;
+              (merged, cs :: confs))
+            ((Lazy.force first_parts).(i), [])
+            rest_parts
         in
-        let merged, cs = Erm.Ops.union_report ?policy acc (prepared s) in
-        conflicts := !conflicts @ List.map (fun c -> (s.source_name, c)) cs;
-        if Obs.Provenance.on () then begin
-          let upto = Obs.Provenance.count () in
-          ignore
-            (Obs.Provenance.add Obs.Provenance.Step
-               ("absorb " ^ s.source_name)
-               ~args:
-                 [ ("source", s.source_name);
-                   ("from", string_of_int mark);
-                   ("to", string_of_int upto) ]);
-          if Obs.Metrics.on () then
-            for i = mark to upto - 1 do
-              let n = Obs.Provenance.node i in
-              match (n.Obs.Provenance.kind, n.Obs.Provenance.kappa) with
-              | Obs.Provenance.Combine, Some k ->
-                  Obs.Metrics.observe
-                    ("dst.combine.kappa_by_source." ^ s.source_name)
-                    k
-              | _ -> ()
-            done
-        end;
-        merged
+        (merged, List.rev confs)
       in
-      let integrated = List.fold_left absorb (prepared first) rest in
-      let report =
-        { integrated; conflicts = !conflicts; conflict_matrix = matrix;
-          reliabilities }
+      let integrated, per_source =
+        if shards = 1 then absorb_shard 0
+        else begin
+          ignore (Lazy.force first_parts);
+          List.iter (fun (_, p) -> ignore (Lazy.force p)) rest_parts;
+          shard_event Obs.Log.Shard_spawn
+            [ ("shards", string_of_int shards);
+              ("workers", string_of_int workers) ]
+            "fan out";
+          let results =
+            Query.Pool.run ~domains:workers ~tasks:shards absorb_shard
+          in
+          let integrated = Query.Shard.merge (Array.map fst results) in
+          shard_event Obs.Log.Shard_merge
+            [ ("rows", string_of_int (Erm.Relation.cardinal integrated)) ]
+            "merged";
+          (* All conflicts of one key live in one shard and each
+             shard's list ascends by key, so a stable sort of the
+             concatenation reproduces the unsharded order. *)
+          let per_source =
+            Array.fold_right
+              (fun (_, css) acc -> List.map2 ( @ ) css acc)
+              results
+              (List.map (fun _ -> []) rest_parts)
+          in
+          (integrated, List.map (List.stable_sort by_conflict_key) per_source)
+        end
+      in
+      (* Grouped by source in absorption order, ascending key within a
+         source. *)
+      let conflicts =
+        List.concat
+          (List.map2
+             (fun (name, _) cs -> List.map (fun c -> (name, c)) cs)
+             rest_parts per_source)
       in
       if Obs.Metrics.on () then begin
         Obs.Metrics.incr ~by:(List.length sources) "integration.sources";
-        Obs.Metrics.incr ~by:(List.length !conflicts) "integration.conflicts";
+        Obs.Metrics.incr ~by:(List.length conflicts) "integration.conflicts";
         List.iter
           (fun (_, _, k) -> Obs.Metrics.observe "integration.mean_kappa" k)
           matrix
       end;
-      report
+      { integrated; conflicts; conflict_matrix = matrix; reliabilities }
 
 type change = Changed of Erm.Etuple.t | Dropped of Erm.Etuple.t
 
@@ -167,7 +229,7 @@ let absorb_delta ?policy ~into s =
             (Erm.Schema.name (Erm.Relation.schema s.source_relation))));
   if Obs.Provenance.on () then
     Erm.Lineage.register_relation ~name:s.source_name s.source_relation;
-  let mark = if Obs.Provenance.on () then Obs.Provenance.count () else 0 in
+  let mark = provenance_mark () in
   let conflicts = ref [] in
   let record key attr detail =
     conflicts :=
@@ -181,6 +243,9 @@ let absorb_delta ?policy ~into s =
     Erm.Relation.fold
       (fun t acc ->
         match Erm.Relation.find_opt into (Erm.Etuple.key t) with
+        | None when not (Dst.Support.positive (Erm.Etuple.tm t)) ->
+            (* union_report drops an unmatched sn = 0 tuple too. *)
+            acc
         | None ->
             changes := Changed t :: !changes;
             Erm.Relation.replace acc t
@@ -196,31 +261,12 @@ let absorb_delta ?policy ~into s =
                 Erm.Relation.remove acc (Erm.Etuple.key old)))
       s.source_relation into
   in
-  if Obs.Provenance.on () then begin
-    let upto = Obs.Provenance.count () in
-    ignore
-      (Obs.Provenance.add Obs.Provenance.Step
-         ("absorb " ^ s.source_name)
-         ~args:
-           [ ("source", s.source_name);
-             ("from", string_of_int mark);
-             ("to", string_of_int upto) ]);
-    if Obs.Metrics.on () then
-      for i = mark to upto - 1 do
-        let n = Obs.Provenance.node i in
-        match (n.Obs.Provenance.kind, n.Obs.Provenance.kappa) with
-        | Obs.Provenance.Combine, Some k ->
-            Obs.Metrics.observe
-              ("dst.combine.kappa_by_source." ^ s.source_name)
-              k
-        | _ -> ()
-      done
-  end;
+  record_step s.source_name mark;
   (merged, List.rev !conflicts, List.rev !changes)
 
-let integrate ?policy ?discount ?alpha_floor ?prior sources =
+let integrate ?policy ?discount ?alpha_floor ?prior ?sharded sources =
   let body () =
-    integrate_inner ?policy ?discount ?alpha_floor ?prior sources
+    integrate_inner ?policy ?discount ?alpha_floor ?prior ?sharded sources
   in
   if Obs.Trace.on () then
     Obs.Trace.with_span ~cat:"integration"

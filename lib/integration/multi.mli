@@ -24,29 +24,12 @@ type report = {
 
 exception No_sources
 
-val conflict_matrix : source list -> (string * string * float) list
-(** Mean pairwise κ for every unordered source pair, in the order
-    {!integrate} reports it. Exposed for the sharded execution engine,
-    which must compute reliabilities {e globally} before partitioning —
-    a per-shard matrix would change the discount rates. *)
-
-val reliabilities :
-  ?discount:bool ->
-  ?alpha_floor:float ->
-  ?prior:(string * float) list ->
-  (string * string * float) list ->
-  source list ->
-  (string * float) list
-(** The per-source discount rates {!integrate} derives from a conflict
-    matrix: [max alpha_floor (prior · conflict_rate)]. Same knobs, same
-    validation, same arithmetic — {!integrate} itself calls this.
-    @raise Invalid_argument if a prior or the floor is outside [0,1]. *)
-
 val integrate :
   ?policy:Dst.Rule.policy ->
   ?discount:bool ->
   ?alpha_floor:float ->
   ?prior:(string * float) list ->
+  ?sharded:Query.Physical.sharded ->
   source list ->
   report
 (** Fold all sources into one relation (left to right; with the default
@@ -67,6 +50,17 @@ val integrate :
     totally conflicting sources, where the conflict-based rate alone
     would reach α = 0 and discount every tuple to [sn = 0]. The
     defaults leave historical behaviour bit-for-bit unchanged.
+
+    [?sharded] (default one shard, one domain) partitions the
+    absorption folds by key ({!Query.Shard.by_key}) and runs them
+    through {!Query.Pool}, as {!Query.Physical.execute} does for
+    operators. The conflict matrix and reliabilities stay global and
+    sources are discounted whole, so the report — relation, conflict
+    order, matrix, reliabilities — is identical at every shard and
+    worker count, under any rule (test/test_conformance.ml). Worker
+    domains read {!Dst.Rule.current} but never write it. Provenance
+    recording forces one shard; [Shard_spawn]/[Shard_merge] journal
+    events are recorded only for two or more shards.
     @raise No_sources on the empty list.
     @raise Invalid_argument if a prior or the floor is outside [0,1].
     @raise Erm.Ops.Incompatible_schemas if any source's schema differs. *)
@@ -86,7 +80,8 @@ val absorb_delta :
   Erm.Relation.t * Erm.Ops.conflict list * change list
 (** [absorb_delta ~into s] folds one (undiscounted) source into an
     existing merged relation in O(changed entities): only the keys of
-    [s] are visited. Because the per-key merge is
+    [s] are visited. A tuple of [s] with [sn = 0] and a new key is
+    skipped, as {!integrate} drops it. Because the per-key merge is
     {!Erm.Ops.merge_report} — exactly what {!integrate}'s absorption
     step applies — the result is bit-identical
     ([Float.equal] supports) to

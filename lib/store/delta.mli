@@ -1,5 +1,6 @@
-(** Incremental integration: fold a source update into a stored merged
-    relation in O(changed entities).
+(** Store-side delta absorption: fold a source update into a stored
+    merged relation in O(changed entities) with
+    {!Integration.Multi.absorb_delta}, and commit its write set.
 
     Because Dempster's rule is commutative and associative,
     [apply store ~name delta] produces the same merged relation —

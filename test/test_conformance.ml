@@ -13,6 +13,9 @@
      shard combines through its own fresh Dst.Combine_cache);
    - the single-source integration surface (Integration.Multi), which
      must be the identity on any query result;
+   - the sharded integrate (Integration.Multi.integrate ~sharded), whose
+     whole report must equal the one-shard run's at every shard count
+     x worker count, under every rule;
    - the persistent store's delta path (Store.Estore + Store.Delta):
      creating a store from the integration of a source prefix, folding
      the remaining source in as an on-disk delta, and reopening the
@@ -87,6 +90,28 @@ let sharded_grid ~ctx env q check =
             (Query.Physical.eval_fast ~ctx ~sharded:{ shards; domains } env q))
         domain_counts)
     shard_counts
+
+(* The sharded integrate over the same grid. Its report must equal the
+   one-shard run's: the relation bit-exactly, conflicts (in order),
+   conflict matrix and reliabilities structurally. *)
+let integrate_grid sources check =
+  List.for_all
+    (fun shards ->
+      List.for_all
+        (fun domains ->
+          check
+            (Integration.Multi.integrate
+               ~sharded:{ Query.Physical.shards; domains }
+               sources))
+        domain_counts)
+    shard_counts
+
+let same_report (a : Integration.Multi.report) (b : Integration.Multi.report)
+    =
+  Exact.rel_equal a.integrated b.integrated
+  && a.conflicts = b.conflicts
+  && a.conflict_matrix = b.conflict_matrix
+  && a.reliabilities = b.reliabilities
 
 let make_case seed =
   let env = Q.env (R.create seed) () in
@@ -229,19 +254,11 @@ let conformance_props =
       (fun s ->
         let r1, d, sources = store_case s in
         let stored = with_temp_dir (fun dir -> via_store dir r1 d) in
-        Exact.rel_equal stored
-          (Integration.Multi.integrate sources).Integration.Multi.integrated
-        && List.for_all
-             (fun shards ->
-               List.for_all
-                 (fun domains ->
-                   Exact.rel_equal stored
-                     (Exec.Engine.integrate
-                        { Query.Physical.shards; domains }
-                        sources)
-                       .Integration.Multi.integrated)
-                 domain_counts)
-             shard_counts);
+        let one_shard = Integration.Multi.integrate sources in
+        Exact.rel_equal stored one_shard.Integration.Multi.integrated
+        && integrate_grid sources (fun r ->
+               same_report one_shard r
+               && Exact.rel_equal stored r.Integration.Multi.integrated));
     prop "store delta under provenance = integrate (no observer effect)"
       seed_arb
       (fun s ->
@@ -294,22 +311,40 @@ let rule_props =
         List.for_all
           (fun policy ->
             Dst.Rule.with_policy policy (fun () ->
-                let naive =
-                  (Integration.Multi.integrate sources)
-                    .Integration.Multi.integrated
-                in
-                List.for_all
-                  (fun shards ->
-                    List.for_all
-                      (fun domains ->
-                        Exact.rel_equal naive
-                          (Exec.Engine.integrate
-                             { Query.Physical.shards; domains }
-                             sources)
-                            .Integration.Multi.integrated)
-                      domain_counts)
-                  shard_counts))
-          rule_policies) ]
+                let naive = Integration.Multi.integrate sources in
+                integrate_grid sources (same_report naive)))
+          rule_policies);
+    rule_prop "quarantine: sharded integrate reports conflicts in order"
+      (fun s ->
+        (* Three sources over Zadeh- and near-total-conflict rows: most
+           pairs quarantine, so each source contributes many conflicts,
+           and the sharded report must list them as the one-shard run
+           does — by source, then by ascending key. *)
+        let dom = G.domain ~size:5 "conf_scenario" in
+        let za, zb =
+          Workload.Scenario.source_pair (R.create s) ~rows:24
+            Workload.Scenario.Zadeh dom
+        in
+        let nt, _ =
+          Workload.Scenario.source_pair (R.create (s + 1)) ~rows:24
+            Workload.Scenario.Near_total dom
+        in
+        let sources =
+          List.map
+            (fun (n, r) ->
+              { Integration.Multi.source_name = n; source_relation = r })
+            [ ("za", za); ("zb", zb); ("nt", nt) ]
+        in
+        let quarantine =
+          Dst.Rule.make
+            ~escalation:(Dst.Rule.escalate ~kappa0:0.5 Dst.Rule.Quarantine)
+            Dst.Rule.Dempster
+        in
+        Dst.Rule.with_policy quarantine (fun () ->
+            let one_shard = Integration.Multi.integrate sources in
+            if one_shard.Integration.Multi.conflicts = [] then
+              QCheck.Test.fail_report "no conflict reported";
+            integrate_grid sources (same_report one_shard))) ]
 
 let () =
   Alcotest.run "conformance"

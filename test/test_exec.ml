@@ -329,7 +329,9 @@ let strip_worker_field jsonl =
              ^ String.sub line (j + 1) (String.length line - j - 1))
   |> String.concat "\n"
 
-let all_recorders_for ~shards ~domains env qs =
+(* Run [work] under the escalation policy with every recorder live and
+   render what they recorded, worker-count fields stripped. *)
+let recorders_of work =
   P.reset_scan_cache ();
   let t = Obs.Trace.default in
   with_virtual_clock (fun () ->
@@ -347,20 +349,21 @@ let all_recorders_for ~shards ~domains env qs =
               Obs.Log.set_clock (Obs.Clock.wall ()))
             (fun () ->
               let from = Obs.Trace.count t in
-              let ctx = P.create_ctx () in
-              Dst.Rule.with_policy escalating (fun () ->
-                  List.iter
-                    (fun q ->
-                      ignore
-                        (P.eval_fast ~ctx ~sharded:(sharded shards domains) env
-                           q))
-                    qs);
+              Dst.Rule.with_policy escalating work;
               String.concat ""
                 [ strip_worker_gauge (Obs.Export.metrics_text ());
                   Format.asprintf "%a@." Obs.Trace.pp_forest
                     (Obs.Trace.forest ~from t);
                   Obs.Export.chrome ~from t;
                   strip_worker_field (Obs.Export.events_jsonl ()) ])))
+
+let all_recorders_for ~shards ~domains env qs =
+  recorders_of (fun () ->
+      let ctx = P.create_ctx () in
+      List.iter
+        (fun q ->
+          ignore (P.eval_fast ~ctx ~sharded:(sharded shards domains) env q))
+        qs)
 
 let qcheck_all_recorders_merged =
   QCheck.Test.make ~count:10
@@ -375,6 +378,38 @@ let qcheck_all_recorders_merged =
         (fun domains ->
           String.equal reference
             (all_recorders_for ~shards:8 ~domains env qs))
+        [ 2; 4; 8 ])
+
+(* The same guarantee for the sharded integrate: three discounted
+   sources (ra, rb and a re-observation of ra) absorbed in 8 shards. *)
+let integrate_recorders_for ~domains seed =
+  let env = env_of seed in
+  let ra = List.assoc "ra" env in
+  let sources =
+    List.map
+      (fun (n, r) ->
+        { Integration.Multi.source_name = n; source_relation = r })
+      (env @ [ ("rc", G.reobserve (R.create (seed + 1)) ra) ])
+  in
+  recorders_of (fun () ->
+      ignore
+        (Integration.Multi.integrate ~discount:true
+           ~sharded:(sharded 8 domains) sources))
+
+let qcheck_integrate_recorders_merged =
+  QCheck.Test.make ~count:10
+    ~name:"sharded integrate: all three recorders = inline run"
+    QCheck.(int_range 0 1000)
+    (fun n ->
+      let seed = 909 + n in
+      let reference = integrate_recorders_for ~domains:1 seed in
+      if find_sub reference {|"kind":"escalation"|} = None then
+        QCheck.Test.fail_report "no Escalation event recorded";
+      if find_sub reference "fan out exec.integrate" = None then
+        QCheck.Test.fail_report "no Shard_spawn event recorded";
+      List.for_all
+        (fun domains ->
+          String.equal reference (integrate_recorders_for ~domains seed))
         [ 2; 4; 8 ])
 
 (* The measured tree, one line per node in preorder: operator, detail,
@@ -596,6 +631,7 @@ let () =
             `Quick traces_byte_identical_across_workers;
           QCheck_alcotest.to_alcotest qcheck_merged_telemetry;
           QCheck_alcotest.to_alcotest qcheck_all_recorders_merged;
+          QCheck_alcotest.to_alcotest qcheck_integrate_recorders_merged;
           Alcotest.test_case "report tree shard- and worker-invariant" `Quick
             report_tree_invariant;
           Alcotest.test_case "dst/cache counters shard-count-invariant"

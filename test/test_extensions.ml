@@ -256,61 +256,61 @@ let test_merge_discounted_estimates () =
 
 (* --- incremental integration ------------------------------------------ *)
 
-let test_incremental_insert_and_combine () =
-  let store = Integration.Incremental.init Paperdata.schema in
-  let store =
-    Integration.Incremental.absorb
-      (Integration.Incremental.absorb store Paperdata.r_a)
-      Paperdata.r_b
-  in
-  Alcotest.(check bool)
-    "streaming both sources reproduces Table 4" true
-    (Erm.Relation.equal (Integration.Incremental.relation store)
-       Paperdata.table4);
-  Alcotest.(check int) "11 observations" 11
-    (Integration.Incremental.observations store);
-  Alcotest.(check int) "no conflicts on the paper data" 0
-    (List.length (Integration.Incremental.conflicts store))
+(* Incremental integration is Multi.absorb_delta: one source folded into
+   an existing merge, touching only the source's keys. *)
+let absorb ~into name r =
+  Integration.Multi.absorb_delta ~into
+    { Integration.Multi.source_name = name; source_relation = r }
 
-let test_incremental_conflict_keeps_store () =
-  let store =
-    Integration.Incremental.of_relation
-      (Erm.Relation.of_tuples schema [ item "k" "[red^1]" ])
+let test_incremental_insert_and_combine () =
+  let merged, conflicts, _ = absorb ~into:Paperdata.r_a "rb" Paperdata.r_b in
+  Alcotest.(check bool)
+    "absorbing r_b into r_a reproduces Table 4" true
+    (Erm.Relation.equal merged Paperdata.table4);
+  Alcotest.(check int) "no conflicts on the paper data" 0
+    (List.length conflicts)
+
+let test_incremental_conflict_drops_pair () =
+  (* As in integrate and Store.Delta: a totally conflicting pair is
+     dropped and reported, and the stored tuple is the write set's
+     delete. *)
+  let one tuple = Erm.Relation.of_tuples schema [ tuple ] in
+  let merged, conflicts, changes =
+    absorb ~into:(one (item "k" "[red^1]")) "s" (one (item "k" "[green^1]"))
   in
-  let store = Integration.Incremental.observe store (item "k" "[green^1]") in
-  Alcotest.(check int) "conflict logged" 1
-    (List.length (Integration.Incremental.conflicts store));
-  let kept =
-    Erm.Relation.find (Integration.Incremental.relation store) [ V.string "k" ]
-  in
-  Alcotest.check feq "stored tuple kept (first writer wins)" 1.0
-    (M.mass (Erm.Etuple.evidence schema kept "color") (Vs.of_strings [ "red" ]))
+  Alcotest.(check int) "pair dropped" 0 (Erm.Relation.cardinal merged);
+  Alcotest.(check int) "conflict reported" 1 (List.length conflicts);
+  Alcotest.(check bool) "stored tuple deleted" true
+    (match changes with
+     | [ Integration.Multi.Dropped t ] -> Erm.Etuple.key t = [ V.string "k" ]
+     | _ -> false)
 
 let test_incremental_ignores_sn_zero () =
-  let store = Integration.Incremental.init schema in
-  let ghost = item ~tm:S.unknown "g" "[red^1]" in
-  let store = Integration.Incremental.observe store ghost in
-  Alcotest.(check int) "nothing stored" 0
-    (Erm.Relation.cardinal (Integration.Incremental.relation store));
-  Alcotest.(check int) "but counted" 1
-    (Integration.Incremental.observations store)
+  (* An sn = 0 tuple under a new key asserts nothing: integrate drops
+     it, so absorb_delta must skip it rather than store it. *)
+  let empty = Erm.Relation.empty schema in
+  let ghost =
+    Erm.Relation.of_tuples_unchecked schema
+      [ item ~tm:S.unknown "g" "[red^1]" ]
+  in
+  let merged, conflicts, changes = absorb ~into:empty "ghost" ghost in
+  Alcotest.(check int) "nothing stored" 0 (Erm.Relation.cardinal merged);
+  Alcotest.(check int) "no conflict" 0 (List.length conflicts);
+  Alcotest.(check int) "empty write set" 0 (List.length changes);
+  let batch =
+    Integration.Multi.integrate
+      [ { Integration.Multi.source_name = "empty"; source_relation = empty };
+        { Integration.Multi.source_name = "ghost"; source_relation = ghost } ]
+  in
+  Alcotest.(check bool) "= integrate" true
+    (Erm.Relation.equal merged batch.Integration.Multi.integrated)
 
 let test_incremental_order_insensitive () =
   (* Dempster commutes/associates, so absorption order cannot matter. *)
-  let forward =
-    Integration.Incremental.absorb
-      (Integration.Incremental.of_relation left)
-      right
-  in
-  let backward =
-    Integration.Incremental.absorb
-      (Integration.Incremental.of_relation right)
-      left
-  in
-  Alcotest.(check bool) "order-insensitive store" true
-    (Erm.Relation.equal
-       (Integration.Incremental.relation forward)
-       (Integration.Incremental.relation backward))
+  let forward, _, _ = absorb ~into:left "right" right in
+  let backward, _, _ = absorb ~into:right "left" left in
+  Alcotest.(check bool) "order-insensitive merge" true
+    (Erm.Relation.equal forward backward)
 
 (* --- render formats ---------------------------------------------------- *)
 
@@ -382,8 +382,8 @@ let () =
       ( "incremental",
         [ Alcotest.test_case "stream reproduces Table 4" `Quick
             test_incremental_insert_and_combine;
-          Alcotest.test_case "conflict keeps the store" `Quick
-            test_incremental_conflict_keeps_store;
+          Alcotest.test_case "total conflict drops the pair" `Quick
+            test_incremental_conflict_drops_pair;
           Alcotest.test_case "sn = 0 ignored" `Quick
             test_incremental_ignores_sn_zero;
           Alcotest.test_case "order-insensitive" `Quick

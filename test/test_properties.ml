@@ -514,11 +514,11 @@ let extension_props =
         rel_equal (Erm.Ops.intersection a b) (Erm.Ops.intersection b a));
     prop "incremental absorb equals extended union" seed_arb (fun s ->
         let a, b = gen_pair s in
-        rel_equal (Erm.Ops.union a b)
-          (Integration.Incremental.relation
-             (Integration.Incremental.absorb
-                (Integration.Incremental.of_relation a)
-                b)));
+        let merged, _, _ =
+          Integration.Multi.absorb_delta ~into:a
+            { Integration.Multi.source_name = "b"; source_relation = b }
+        in
+        rel_equal (Erm.Ops.union a b) merged);
     prop "focal approximation error is bounded by the dropped mass"
       ~count:150 seed_arb
       (fun s ->

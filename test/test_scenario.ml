@@ -105,17 +105,14 @@ let test_queries_consistent () =
        (Query.Plan.eval_optimized env q2))
 
 let test_incremental_replay () =
-  (* Replaying source2 observation by observation lands on the same
-     store as the batch merge. *)
-  let streamed =
-    Integration.Incremental.absorb
-      (Integration.Incremental.of_relation source1)
-      source2
+  (* Absorbing source2 into source1 key by key lands on the same
+     relation as the batch merge. *)
+  let streamed, _, _ =
+    Integration.Multi.absorb_delta ~into:source1
+      { Integration.Multi.source_name = "source2"; source_relation = source2 }
   in
   Alcotest.(check bool) "stream = batch" true
-    (Erm.Relation.equal
-       (Integration.Incremental.relation streamed)
-       merged.integrated)
+    (Erm.Relation.equal streamed merged.integrated)
 
 let test_summaries_scale () =
   let sn, sp = Erm.Summarize.cardinality_interval merged.integrated in
