@@ -52,8 +52,8 @@ Commands:
   .explain QUERY        show the optimized plan tree with row estimates
   .physical QUERY       show the physical plan (access paths, join algorithms)
   .analyze QUERY        run the query, show measured per-operator statistics
-  .open DIR             open a catalog directory (loads all relations)
-  .commit DIR           write every bound relation into a catalog
+  .open DIR             load every .erd file in a directory
+  .commit DIR           write every bound relation to DIR/NAME.erd
   .store open DIR       open a crash-safe evidence store (runs recovery,
                         binds the stored relation)
   .store create DIR NAME  persist a bound relation as a new store
@@ -112,18 +112,18 @@ let strict =
 
 let guard env q = if !strict then Analysis.Check.errors env q else []
 
+let bind_loaded relations =
+  List.iter
+    (fun r ->
+      let name = Erm.Schema.name (Erm.Relation.schema r) in
+      bind name r;
+      if Obs.Provenance.on () then Erm.Lineage.register_relation ~name r;
+      Printf.printf "loaded %s (%d tuples)\n" name (Erm.Relation.cardinal r))
+    relations
+
 let load_file path =
   match Erm.Io.load path with
-  | relations ->
-      List.iter
-        (fun r ->
-          let name = Erm.Schema.name (Erm.Relation.schema r) in
-          bind name r;
-          if Obs.Provenance.on () then
-            Erm.Lineage.register_relation ~name r;
-          Printf.printf "loaded %s (%d tuples)\n" name
-            (Erm.Relation.cardinal r))
-        relations
+  | relations -> bind_loaded relations
   | exception Erm.Io.Io_error { line; col; message } ->
       if col > 0 then Printf.printf "error: %s:%d:%d: %s\n" path line col message
       else Printf.printf "error: %s:%d: %s\n" path line message
@@ -278,9 +278,10 @@ let handle_command line =
       match String.split_on_char ' ' rest with
       | [ name; file ] -> (
           match List.assoc_opt name !env with
-          | Some r ->
-              Erm.Io.save file [ r ];
-              Printf.printf "saved %s to %s\n" name file
+          | Some r -> (
+              match Erm.Io.save file [ r ] with
+              | () -> Printf.printf "saved %s to %s\n" name file
+              | exception Sys_error m -> Printf.printf "error: %s\n" m)
           | None -> Printf.printf "unknown relation %s\n" name)
       | _ -> print_string "usage: .save NAME FILE\n")
   | ".let" -> (
@@ -382,32 +383,19 @@ let handle_command line =
       | exception Query.Parser.Parse_error m ->
           Printf.printf "parse error: %s\n" m)
   | ".open" -> (
-      match Store.Catalog.load rest with
-      | catalog ->
-          List.iter
-            (fun (name, r) ->
-              bind name r;
-              Printf.printf "loaded %s (%d tuples)\n" name
-                (Erm.Relation.cardinal r))
-            (Store.Catalog.env catalog)
-      | exception Store.Catalog.Catalog_error m ->
-          Printf.printf "error: %s\n" m
+      match Erm.Io.load_dir rest with
+      | relations -> bind_loaded relations
+      | exception Sys_error m -> Printf.printf "error: %s\n" m
       | exception Erm.Io.Io_error { line; message; _ } ->
           Printf.printf "error: line %d: %s\n" line message)
   | ".commit" -> (
-      let catalog =
-        List.fold_left
-          (fun c (name, r) -> Store.Catalog.put c name r)
-          (Store.Catalog.create rest)
-          (List.rev !env)
-      in
-      match Store.Catalog.commit catalog with
+      let relations = List.rev !env in
+      match Erm.Io.save_dir rest relations with
       | () ->
           Printf.printf "committed %d relation(s) to %s\n"
-            (List.length (Store.Catalog.names catalog))
-            rest
-      | exception Store.Catalog.Catalog_error m ->
-          Printf.printf "error: %s\n" m
+            (List.length relations) rest
+      | exception Erm.Io.Io_error { message; _ } ->
+          Printf.printf "error: %s\n" message
       | exception Sys_error m -> Printf.printf "error: %s\n" m)
   | ".store" -> (
       let sub, arg = split_first rest in

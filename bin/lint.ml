@@ -10,8 +10,9 @@
    loader's scan that reports every finding where the loader stops at
    the first); with --queries, additionally loads the .erd
    files and runs the plan checker (Analysis.Check) over each
-   non-comment line of the query file. With --sweep, opens a store (an
-   Estore directory or a .erd catalog directory) and runs the
+   non-comment line of the query file. With --sweep, opens a store (a
+   text snapshot, i.e. a directory whose .erd files hold relations,
+   read with Erm.Io.load_dir; otherwise an Estore directory) and runs the
    whole-store S-checks (Analysis.Sweep) over its merged relations;
    each --delta is absorbed in memory only, so the sweep sees the
    merge-conflict telemetry without committing anything.
@@ -23,7 +24,8 @@
 
    Exit codes (sweep mode): 0 when no finding above Info survives the
    --min-priority filter, 1 when findings are reported, 2 on
-   operational errors (unreadable store or delta). *)
+   operational errors (an unreadable store or delta, or a malformed
+   .erd file in a swept directory). *)
 
 open Cmdliner
 
@@ -83,22 +85,44 @@ let run_lint ~json ~queries files =
 
 exception Sweep_failed of string
 
+(* Erm.Io.load opens a parse error's message with "<file>: ", where
+   <file> is [path] or a file under it. File names hold no ": ", so the
+   first one from the end of [path] on closes <file>; the line goes
+   there, compiler style. *)
+let parse_failed path line message =
+  let rec close i =
+    if i + 1 >= String.length message then None
+    else if message.[i] = ':' && message.[i + 1] = ' ' then Some i
+    else close (i + 1)
+  in
+  Sweep_failed
+    (match close (String.length path) with
+    | Some i ->
+        Printf.sprintf "%s:%d%s" (String.sub message 0 i) line
+          (String.sub message i (String.length message - i))
+    | None -> Printf.sprintf "%s:%d: %s" path line message)
+
+(* A directory whose .erd files hold relations is a text snapshot; any
+   other is opened as an Estore, whose own error names a missing or
+   empty one. *)
 let open_subject dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sweep_failed (Printf.sprintf "%s: no such store directory" dir));
-  if Sys.file_exists (Filename.concat dir "CATALOG") then
-    match Store.Catalog.load dir with
-    | catalog -> (Store.Catalog.env catalog, None)
-    | exception Store.Catalog.Catalog_error m ->
-        raise (Sweep_failed (Printf.sprintf "%s: %s" dir m))
-    | exception Sys_error m -> raise (Sweep_failed m)
-  else
-    match Store.Estore.open_store dir with
-    | t, _report -> ([ (Store.Estore.name t, Store.Estore.relation t) ], Some t)
-    | exception Store.Recovery.Store_error e ->
-        raise
-          (Sweep_failed
-             (Printf.sprintf "%s: %s" dir (Store.Recovery.error_to_string e)))
+  match Erm.Io.load_dir dir with
+  | _ :: _ as relations ->
+      let named r = (Erm.Schema.name (Erm.Relation.schema r), r) in
+      (List.map named relations, None)
+  | exception Erm.Io.Io_error { line; message; _ } ->
+      raise (parse_failed dir line message)
+  | exception Sys_error m -> raise (Sweep_failed m)
+  | [] -> (
+      match Store.Estore.open_store dir with
+      | t, _report ->
+          ([ (Store.Estore.name t, Store.Estore.relation t) ], Some t)
+      | exception Store.Recovery.Store_error e ->
+          raise
+            (Sweep_failed
+               (Printf.sprintf "%s: %s" dir (Store.Recovery.error_to_string e))))
 
 (* In-memory absorption: the sweep needs the κ rollups and provenance
    Step ranges a real absorption records, but must not commit — a lint
@@ -113,7 +137,7 @@ let absorb_delta env path =
              (Printf.sprintf "%s: delta file must hold exactly one relation"
                 path))
     | exception Erm.Io.Io_error { line; message; _ } ->
-        raise (Sweep_failed (Printf.sprintf "%s:%d: %s" path line message))
+        raise (parse_failed path line message)
     | exception Sys_error m -> raise (Sweep_failed m)
   in
   let source = Erm.Schema.name (Erm.Relation.schema rel) in
@@ -257,8 +281,9 @@ let sweep_arg =
     & opt (some string) None
     & info [ "sweep" ] ~docv:"STORE"
         ~doc:
-          "Run the whole-store S-checks over $(docv): an evidence store \
-           directory, or a catalog directory of $(b,.erd) relations.")
+          "Run the whole-store S-checks over $(docv): a directory of \
+           $(b,.erd) files (every relation in them), or else an evidence \
+           store directory.")
 
 let delta_arg =
   Arg.(

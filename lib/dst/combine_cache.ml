@@ -38,18 +38,6 @@ let hits c = c.hits
 let misses c = c.misses
 let size c = Table.length c.table
 
-let reset c =
-  if Obs.Log.on () then
-    Obs.Log.record ~severity:Obs.Log.Debug
-      ~fields:
-        [ ("entries", string_of_int (Table.length c.table));
-          ("hits", string_of_int c.hits);
-          ("misses", string_of_int c.misses) ]
-      Obs.Log.Cache_evict "combine cache dropped";
-  Table.reset c.table;
-  c.hits <- 0;
-  c.misses <- 0
-
 let policy_key c policy =
   if policy != c.last_policy then begin
     c.last_policy <- policy;

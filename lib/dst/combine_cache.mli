@@ -59,5 +59,3 @@ val misses : t -> int
 
 val size : t -> int
 (** Number of distinct (policy, operand pair) entries stored. *)
-
-val reset : t -> unit

@@ -550,14 +550,51 @@ let load path =
     Obs.Trace.with_span ~cat:"io" ~args:[ ("detail", path) ] "io.load" body
   else body ()
 
+(* Write, then rename over [path]: an interrupted save leaves the old
+   file (or none) and at worst a stray [path.tmp], never a truncated
+   relation file. [close_out] is inside the match so that a failed
+   final flush is an error too, not a short file renamed into place. *)
 let save path rels =
-  let oc = open_out path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  match
+    List.iter
+      (fun r ->
+        output_string oc (to_string r);
+        output_char oc '\n')
+      rels;
+    close_out oc
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
+(* A text snapshot has no manifest: every .erd file in the directory
+   is part of it, and writing one never touches the others. *)
+let load_dir dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".erd")
+  |> List.sort String.compare
+  |> List.concat_map (fun f -> load (Filename.concat dir f))
+
+let save_dir dir named =
   List.iter
-    (fun r ->
-      output_string oc (to_string r);
-      output_char oc '\n')
-    rels;
-  close_out oc
+    (fun (name, _) ->
+      if
+        name = ""
+        || String.exists (fun c -> c = '/' || c = '\\' || c = '\000') name
+      then fail 0 "relation name %S is not usable as a file name" name)
+    named;
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.iter
+    (fun (name, r) ->
+      let schema = Schema.rename_relation name (Relation.schema r) in
+      save
+        (Filename.concat dir (name ^ ".erd"))
+        [ Relation.map_tuples Option.some schema r ])
+    named
 
 (* RFC 4180: fields separated by commas, quoted fields may contain
    commas/newlines, doubled quotes escape a quote. Returns records of

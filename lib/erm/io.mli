@@ -17,8 +17,10 @@
     according to the attribute's declared kind. *)
 
 exception Io_error of { line : int; col : int; message : string }
-(** [line] is 1-based; [col] is the 1-based column of the offending
-    token, or [0] when no finer position than the line is known. *)
+(** [line] is 1-based, or [0] when the error concerns no line of a
+    text (an empty CSV document, a relation name unfit for a file
+    name); [col] is the 1-based column of the offending token, or [0]
+    when no finer position than the line is known. *)
 
 val relations_of_string : string -> Relation.t list
 (** Folds {!scan} and raises its first error; duplicate keys and
@@ -148,6 +150,32 @@ val load : string -> Relation.t list
     path. *)
 
 val save : string -> Relation.t list -> unit
+(** Writes the relations to one [.erd] file, each block followed by a
+    blank line. The text goes to [path ^ ".tmp"] and is renamed over
+    [path] only once complete, so a failed or interrupted save never
+    leaves a truncated file at [path].
+    @raise Sys_error on IO failures. *)
+
+(** {2 Text snapshots}
+
+    A text snapshot is a directory of [.erd] files and nothing else:
+    no manifest, one file per relation when written by {!save_dir}, any
+    number of relations per file when read by {!load_dir}. *)
+
+val load_dir : string -> Relation.t list
+(** Every [*.erd] file in the directory, in file-name order; each
+    file's relations in file order. Other files are ignored.
+    @raise Sys_error if the directory cannot be read, and as {!load}
+    otherwise. *)
+
+val save_dir : string -> (string * Relation.t) list -> unit
+(** [save_dir dir [(name, r); …]] creates [dir] if it is missing, then
+    {!save}s each [r] to [dir/name.erd] with its schema renamed to
+    [name] (a later pair with the same name replaces an earlier one).
+    It deletes nothing: files in [dir] that it does not write stay.
+    @raise Io_error with [line = 0], before writing anything, when a
+    name is empty or holds [/], [\\] or NUL.
+    @raise Sys_error on IO failures. *)
 
 val relation_of_csv : Schema.t -> string -> Relation.t
 (** Parse a CSV document (RFC 4180 quoting) against a known schema: the

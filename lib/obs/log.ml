@@ -15,7 +15,6 @@ type kind =
   | Recovery_error
   | Shard_spawn
   | Shard_merge
-  | Cache_evict
 
 let kind_to_string = function
   | Retry -> "retry"
@@ -26,7 +25,6 @@ let kind_to_string = function
   | Recovery_error -> "recovery_error"
   | Shard_spawn -> "shard_spawn"
   | Shard_merge -> "shard_merge"
-  | Cache_evict -> "cache_evict"
 
 type event = {
   seq : int;

@@ -30,7 +30,6 @@ type kind =
   | Recovery_error  (** store recovery hit a typed anomaly *)
   | Shard_spawn  (** the executor fanned a stage out over shards *)
   | Shard_merge  (** the executor merged shard outputs *)
-  | Cache_evict  (** the combine cache dropped its entries *)
 
 val kind_to_string : kind -> string
 

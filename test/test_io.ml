@@ -134,6 +134,26 @@ let test_load_save () =
             (Erm.Relation.equal b Paperdata.r_b)
       | other -> Alcotest.failf "expected 2 relations, got %d" (List.length other))
 
+(* save writes a temporary file and renames it over the target, so the
+   old file is replaced whole, never truncated and rewritten in place: a
+   hard link to it (a reader holding it open alike) keeps the old text. *)
+let test_save_replaces_whole () =
+  let path = Filename.temp_file "eridb" ".erd" in
+  let old = path ^ ".old" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; old ])
+    (fun () ->
+      Erm.Io.save path [ Paperdata.r_a ];
+      Unix.link path old;
+      Erm.Io.save path [ Paperdata.r_b ];
+      let only r = function [ x ] -> Erm.Relation.equal x r | _ -> false in
+      Alcotest.(check bool) "the link keeps the old relation" true
+        (only Paperdata.r_a (Erm.Io.load old));
+      Alcotest.(check bool) "the path holds the new one" true
+        (only Paperdata.r_b (Erm.Io.load path));
+      Alcotest.(check bool) "no temporary file left" false
+        (Sys.file_exists (path ^ ".tmp")))
+
 let test_value_kinds_roundtrip () =
   let input =
     {|relation kinds
@@ -422,6 +442,8 @@ let () =
         [ Alcotest.test_case "sample" `Quick test_roundtrip_sample;
           Alcotest.test_case "paper tables" `Quick test_roundtrip_paper_tables;
           Alcotest.test_case "load/save files" `Quick test_load_save;
+          Alcotest.test_case "save replaces the file whole" `Quick
+            test_save_replaces_whole;
           Alcotest.test_case "value kinds" `Quick test_value_kinds_roundtrip;
           Alcotest.test_case "long focal set prints on one line" `Quick
             test_long_set_one_line;

@@ -154,13 +154,14 @@ let test_persist_reload () =
         Sys.rmdir dir
       end)
     (fun () ->
-      let catalog =
-        Store.Catalog.put (Store.Catalog.create dir) "census" merged.integrated
-      in
-      Store.Catalog.commit catalog;
-      let reloaded = Store.Catalog.get (Store.Catalog.load dir) "census" in
-      Alcotest.(check bool) "400-tuple relation survives disk" true
-        (Erm.Relation.equal reloaded merged.integrated))
+      Erm.Io.save_dir dir [ ("census", merged.integrated) ];
+      match Erm.Io.load_dir dir with
+      | [ reloaded ] ->
+          Alcotest.(check string) "reloaded under its snapshot name" "census"
+            (Erm.Schema.name (Erm.Relation.schema reloaded));
+          Alcotest.(check bool) "400-tuple relation survives disk" true
+            (Erm.Relation.equal reloaded merged.integrated)
+      | rs -> Alcotest.failf "expected 1 relation, got %d" (List.length rs))
 
 let () =
   Alcotest.run "scenario"

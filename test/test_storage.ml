@@ -1,5 +1,6 @@
-(* Storage-layer extensions: secondary indexes, the persistent catalog,
-   and query EXPLAIN. *)
+(* Storage-layer extensions: secondary indexes, text snapshots (a
+   directory of .erd files, Erm.Io.save_dir/load_dir), and query
+   EXPLAIN. *)
 
 module V = Dst.Value
 module S = Dst.Support
@@ -93,7 +94,7 @@ let test_index_usable_for () =
   Alcotest.(check bool) "different attribute unusable" true
     (Erm.Index.usable_for idx other = None)
 
-(* --- catalog ---------------------------------------------------------- *)
+(* --- text snapshots (Erm.Io.save_dir / load_dir) ---------------------- *)
 
 let with_temp_dir f =
   let dir =
@@ -110,95 +111,93 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+let named = List.map (fun r -> (Erm.Schema.name (Erm.Relation.schema r), r))
+
 let test_catalog_roundtrip () =
   with_temp_dir (fun dir ->
-      let c =
-        Store.Catalog.create dir
-        |> fun c ->
-        Store.Catalog.put c "ra" Paperdata.r_a |> fun c ->
-        Store.Catalog.put c "rb" Paperdata.r_b
-      in
-      Store.Catalog.commit c;
-      let c' = Store.Catalog.load dir in
-      Alcotest.(check (list string)) "names" [ "ra"; "rb" ]
-        (Store.Catalog.names c');
+      Erm.Io.save_dir dir [ ("ra", Paperdata.r_a); ("rb", Paperdata.r_b) ];
+      let env = named (Erm.Io.load_dir dir) in
+      Alcotest.(check (list string)) "names" [ "ra"; "rb" ] (List.map fst env);
       Alcotest.(check bool) "ra round-trips" true
-        (Erm.Relation.equal (Store.Catalog.get c' "ra") Paperdata.r_a);
+        (Erm.Relation.equal (List.assoc "ra" env) Paperdata.r_a);
       Alcotest.(check bool) "rb round-trips" true
-        (Erm.Relation.equal (Store.Catalog.get c' "rb") Paperdata.r_b);
-      (* The catalog doubles as a query environment. *)
-      let result =
-        Query.Eval.run (Store.Catalog.env c') "ra UNION rb"
-      in
+        (Erm.Relation.equal (List.assoc "rb" env) Paperdata.r_b);
+      (* The snapshot doubles as a query environment. *)
+      let result = Query.Eval.run env "ra UNION rb" in
       Alcotest.(check bool) "env queries work" true
         (Erm.Relation.equal result Paperdata.table4))
 
 let test_catalog_put_replaces_and_renames () =
-  let c = Store.Catalog.create "/tmp/unused" in
-  let c = Store.Catalog.put c "x" Paperdata.r_a in
-  let c = Store.Catalog.put c "x" Paperdata.r_b in
-  Alcotest.(check int) "replace keeps one entry" 1
-    (List.length (Store.Catalog.names c));
-  Alcotest.(check string) "stored under the catalog name" "x"
-    (Erm.Schema.name (Erm.Relation.schema (Store.Catalog.get c "x")));
-  Alcotest.(check bool) "latest wins" true
-    (Erm.Relation.equal (Store.Catalog.get c "x") Paperdata.r_b)
-
-let test_catalog_drop_gc () =
   with_temp_dir (fun dir ->
-      let c = Store.Catalog.create dir in
-      let c = Store.Catalog.put c "keep" Paperdata.r_a in
-      let c = Store.Catalog.put c "gone" Paperdata.r_b in
-      Store.Catalog.commit c;
-      Alcotest.(check bool) "gone.erd exists" true
-        (Sys.file_exists (Filename.concat dir "gone.erd"));
-      Store.Catalog.commit (Store.Catalog.drop c "gone");
-      Alcotest.(check bool) "gone.erd deleted on commit" false
-        (Sys.file_exists (Filename.concat dir "gone.erd"));
-      let c' = Store.Catalog.load dir in
-      Alcotest.(check (list string)) "only keep remains" [ "keep" ]
-        (Store.Catalog.names c'))
+      Erm.Io.save_dir dir [ ("x", Paperdata.r_a); ("x", Paperdata.r_b) ];
+      Alcotest.(check (list string)) "replace keeps one file" [ "x.erd" ]
+        (Array.to_list (Sys.readdir dir));
+      match Erm.Io.load_dir dir with
+      | [ x ] ->
+          Alcotest.(check string) "stored under the given name" "x"
+            (Erm.Schema.name (Erm.Relation.schema x));
+          Alcotest.(check bool) "latest wins" true
+            (Erm.Relation.equal x Paperdata.r_b)
+      | rs -> Alcotest.failf "expected 1 relation, got %d" (List.length rs))
+
+(* The directory is the snapshot, so writing one must not delete the
+   other .erd files in it — not even one the session has not bound. *)
+let test_save_dir_keeps_unrelated_files () =
+  with_temp_dir (fun dir ->
+      Erm.Io.save_dir dir [ ("keepme", Paperdata.r_b) ];
+      Erm.Io.save_dir dir [ ("ra", Paperdata.r_a) ];
+      Alcotest.(check bool) "keepme.erd survives" true
+        (Sys.file_exists (Filename.concat dir "keepme.erd"));
+      Alcotest.(check (list string)) "both load, in file-name order"
+        [ "keepme"; "ra" ]
+        (List.map fst (named (Erm.Io.load_dir dir))))
 
 let test_catalog_errors () =
-  let fails f =
+  let fails what exn f =
     Alcotest.(check bool)
-      "raises Catalog_error" true
-      (match f () with
-      | _ -> false
-      | exception Store.Catalog.Catalog_error _ -> true)
+      what true
+      (match f () with _ -> false | exception e -> exn e)
   in
-  fails (fun () -> Store.Catalog.load "/nonexistent/nowhere");
-  fails (fun () ->
-      Store.Catalog.put (Store.Catalog.create "/tmp/x") "a/b" Paperdata.r_a);
-  fails (fun () ->
-      Store.Catalog.put (Store.Catalog.create "/tmp/x") "" Paperdata.r_a)
+  let io_error = function Erm.Io.Io_error _ -> true | _ -> false in
+  fails "missing directory" (function Sys_error _ -> true | _ -> false)
+    (fun () -> Erm.Io.load_dir "/nonexistent/nowhere");
+  with_temp_dir (fun dir ->
+      fails "name with a slash" io_error (fun () ->
+          Erm.Io.save_dir dir [ ("a/b", Paperdata.r_a) ]);
+      fails "empty name" io_error (fun () ->
+          Erm.Io.save_dir dir [ ("", Paperdata.r_a) ]);
+      (* Names are checked before anything is written. *)
+      fails "bad name after a good one" io_error (fun () ->
+          Erm.Io.save_dir dir
+            [ ("ok", Paperdata.r_a); ("a\\b", Paperdata.r_a) ]);
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists dir))
 
 let test_catalog_commit_is_idempotent () =
   with_temp_dir (fun dir ->
-      let c = Store.Catalog.put (Store.Catalog.create dir) "ra" Paperdata.r_a in
-      Store.Catalog.commit c;
-      Store.Catalog.commit c;
+      Erm.Io.save_dir dir [ ("ra", Paperdata.r_a) ];
+      Erm.Io.save_dir dir [ ("ra", Paperdata.r_a) ];
+      Alcotest.(check (list string)) "no temp file left" [ "ra.erd" ]
+        (Array.to_list (Sys.readdir dir));
       Alcotest.(check bool) "still loads" true
-        (Erm.Relation.equal
-           (Store.Catalog.get (Store.Catalog.load dir) "ra")
-           Paperdata.r_a))
+        (match Erm.Io.load_dir dir with
+        | [ ra ] -> Erm.Relation.equal ra Paperdata.r_a
+        | _ -> false))
 
 let test_catalog_random_roundtrip () =
   (* Workload-generated relations (random evidence, memberships, sizes)
      survive the disk format. *)
   let qtest =
-    QCheck.Test.make ~name:"catalog random roundtrip" ~count:15
+    QCheck.Test.make ~name:"text snapshot random roundtrip" ~count:15
       (QCheck.int_range 0 100000) (fun seed ->
         with_temp_dir (fun dir ->
             let r =
               Workload.Gen.relation (Workload.Rng.create seed) ~size:25
                 (Workload.Gen.schema "rand")
             in
-            let c = Store.Catalog.put (Store.Catalog.create dir) "r" r in
-            Store.Catalog.commit c;
-            Erm.Relation.equal
-              (Store.Catalog.get (Store.Catalog.load dir) "r")
-              r))
+            Erm.Io.save_dir dir [ ("r", r) ];
+            match Erm.Io.load_dir dir with
+            | [ r' ] -> Erm.Relation.equal r' r
+            | _ -> false))
   in
   match QCheck.Test.check_exn qtest with
   | () -> ()
@@ -309,8 +308,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_catalog_roundtrip;
           Alcotest.test_case "put replaces and renames" `Quick
             test_catalog_put_replaces_and_renames;
-          Alcotest.test_case "drop garbage-collects" `Quick
-            test_catalog_drop_gc;
+          Alcotest.test_case "save_dir keeps unrelated files" `Quick
+            test_save_dir_keeps_unrelated_files;
           Alcotest.test_case "errors" `Quick test_catalog_errors;
           Alcotest.test_case "idempotent commit" `Quick
             test_catalog_commit_is_idempotent;
