@@ -121,12 +121,25 @@ let bind_loaded relations =
       Printf.printf "loaded %s (%d tuples)\n" name (Erm.Relation.cardinal r))
     relations
 
+(* Erm.Io.load opens a parse error's message with "PATH: "; the
+   position goes after the path, compiler style, and the path is
+   printed once. *)
+let print_load_error path ~line ~col message =
+  let p = path ^ ": " in
+  let message =
+    if String.starts_with ~prefix:p message then
+      String.sub message (String.length p)
+        (String.length message - String.length p)
+    else message
+  in
+  if col > 0 then Printf.printf "error: %s:%d:%d: %s\n" path line col message
+  else Printf.printf "error: %s:%d: %s\n" path line message
+
 let load_file path =
   match Erm.Io.load path with
   | relations -> bind_loaded relations
   | exception Erm.Io.Io_error { line; col; message } ->
-      if col > 0 then Printf.printf "error: %s:%d:%d: %s\n" path line col message
-      else Printf.printf "error: %s:%d: %s\n" path line message
+      print_load_error path ~line ~col message
   | exception Sys_error m -> Printf.printf "error: %s\n" m
 
 (* The most recent successful query result — what .why explains. *)
@@ -476,8 +489,8 @@ let handle_command line =
               | _ ->
                   Printf.printf "%s: delta file must hold exactly one relation\n"
                     arg
-              | exception Erm.Io.Io_error { line; message; _ } ->
-                  Printf.printf "error: %s:%d: %s\n" arg line message
+              | exception Erm.Io.Io_error { line; col; message } ->
+                  print_load_error arg ~line ~col message
               | exception Sys_error m -> Printf.printf "error: %s\n" m))
       | "status" -> (
           match !current_store with

@@ -420,21 +420,302 @@ let relation_of_string input =
 
    Masses print losslessly but readably: the shortest of
    %.15g/%.16g/%.17g that parses back to the same double (%.17g is always
-   exact; most masses round-trip at 15 digits already). [format_float]
-   is the primitive behind Printf's %g, without the format interpreter. *)
+   exact; most masses round-trip at 15 digits already). [add_float]
+   computes those bytes in one pass of integer arithmetic instead of
+   formatting and re-parsing. Ryū (Adams, PLDI 2018) scales the double
+   x = v·2^e2 to a decimal integer floor (v·2^e2 / 10^e10) of 18 or 19
+   digits, for v the significand and for the two ends of x's rounding
+   interval, with one 64×128-bit product each. Divisibility of v by
+   2^q or 5^q says whether each floor was exact. Rounding that integer
+   half-to-even to 15, 16 and 17 digits gives what %.Pg prints, and a
+   candidate round-trips exactly when it lies inside the interval,
+   whose ends belong to it only for an even significand (the reader
+   rounds ties to even). *)
+
+(* Non-negative integers as little-endian 32-bit limbs, only as large as
+   the tables below and subnormal scaling need. *)
+module Big = struct
+  let mask = 0xFFFF_FFFF
+  let limb a k = if k >= 0 && k < Array.length a then a.(k) else 0
+
+  let trim a =
+    let n = ref (Array.length a) in
+    while !n > 0 && a.(!n - 1) = 0 do decr n done;
+    if !n = Array.length a then a else Array.sub a 0 !n
+
+  let of_int v = trim [| v land mask; v lsr 32 |]
+  let pow2 n =
+    Array.init ((n / 32) + 1) (fun k -> if k = n / 32 then 1 lsl (n mod 32) else 0)
+
+  (* c < 2^30, so a limb product and its carry stay below 2^62. *)
+  let mul_small a c =
+    let r = Array.make (Array.length a + 1) 0 and carry = ref 0 in
+    Array.iteri
+      (fun k x ->
+        let p = (x * c) + !carry in
+        r.(k) <- p land mask;
+        carry := p lsr 32)
+      a;
+    r.(Array.length a) <- !carry;
+    trim r
+
+  let div_small a c =
+    let q = Array.make (Array.length a) 0 and rem = ref 0 in
+    for k = Array.length a - 1 downto 0 do
+      let x = (!rem lsl 32) lor a.(k) in
+      q.(k) <- x / c;
+      rem := x mod c
+    done;
+    trim q
+
+  (* Bits [off, off + 32) of a, off possibly negative: floor (a / 2^off)
+     mod 2^32. *)
+  let bits a off =
+    let k = off asr 5 and o = off land 31 in
+    ((limb a k lsr o) lor (limb a (k + 1) lsl (32 - o))) land mask
+
+  (* a mod 2^n = 0 *)
+  let low_zero a n =
+    let rec go k =
+      if (k + 1) * 32 <= n then limb a k = 0 && go (k + 1)
+      else limb a k land ((1 lsl (n - (k * 32))) - 1) = 0
+    in
+    go 0
+end
+
+(* Ryū's bit-length and logarithm estimates, exact over double range. *)
+let pow5bits e = ((e * 1217359) lsr 19) + 1
+let log10_pow2 e = (e * 78913) lsr 18
+let log10_pow5 e = (e * 732923) lsr 20
+
+(* Ryū's tables as four 32-bit limbs per entry: [pow5] holds 5^i cut to
+   its top 125 bits, [pow5_inv] holds floor (2^(pow5bits q + 124) / 5^q)
+   + 1. Their sizes are the largest indices the two branches of
+   [add_normal] reach, at the largest and smallest binary exponents. *)
+let pow5_count = 1076 - (log10_pow5 1076 - 1) + 1
+let pow5_inv_count = log10_pow2 (2046 - 1077)
+
+let pow5, pow5_inv =
+  let pow5 = Array.make (4 * pow5_count) 0
+  and inv = Array.make (4 * pow5_inv_count) 0 in
+  let j_max = pow5bits (pow5_inv_count - 1) + 124 in
+  (* p = 5^i and r = floor (2^j_max / 5^i), by nested floors. *)
+  let p = ref (Big.of_int 1) and r = ref (Big.pow2 j_max) in
+  for i = 0 to max pow5_count pow5_inv_count - 1 do
+    let bits = pow5bits i in
+    if i < pow5_count then
+      for k = 0 to 3 do
+        pow5.((4 * i) + k) <- Big.bits !p (bits - 125 + (32 * k))
+      done;
+    if i < pow5_inv_count then begin
+      let off = j_max - (bits + 124) and carry = ref 1 in
+      for k = 0 to 3 do
+        let w = Big.bits !r (off + (32 * k)) + !carry in
+        inv.((4 * i) + k) <- w land Big.mask;
+        carry := w lsr 32
+      done;
+      r := Big.div_small !r 5
+    end;
+    p := Big.mul_small !p 5
+  done;
+  (pow5, inv)
+
+let[@inline] lo32 x = Int64.to_int (Int64.logand x 0xFFFF_FFFFL)
+let[@inline] hi32 x = Int64.to_int (Int64.shift_right_logical x 32)
+
+(* a·b + c over unsigned 64 bits, for a, b < 2^32 and c < 2^33: the sum
+   stays below 2^64. *)
+let[@inline] mac a b c =
+  Int64.add (Int64.mul (Int64.of_int a) (Int64.of_int b)) (Int64.of_int c)
+
+(* floor (v · t / 2^j) for v < 2^56, t the 128-bit table entry [e],
+   and 64 <= j < 128 with a result below 2^62. The 192-bit product is
+   built in 32-bit limbs from 32-bit halves of v and t; its lowest limb
+   only carries. *)
+let mul_shift v table e j =
+  let t0 = table.(4 * e) and t1 = table.((4 * e) + 1)
+  and t2 = table.((4 * e) + 2) and t3 = table.((4 * e) + 3) in
+  let v0 = v land Big.mask and v1 = v lsr 32 in
+  let x = mac v0 t1 (hi32 (mac v0 t0 0)) in
+  let p1 = lo32 x in
+  let x = mac v0 t2 (hi32 x) in
+  let p2 = lo32 x in
+  let x = mac v0 t3 (hi32 x) in
+  let p3 = lo32 x and p4 = hi32 x in
+  let x = mac v1 t0 p1 in
+  let x = mac v1 t1 (p2 + hi32 x) in
+  let p2 = lo32 x in
+  let x = mac v1 t2 (p3 + hi32 x) in
+  let p3 = lo32 x in
+  let x = mac v1 t3 (p4 + hi32 x) in
+  let p4 = lo32 x and p5 = hi32 x in
+  let o = j land 31 in
+  if j < 96 then
+    if o = 0 then p2 lor (p3 lsl 32)
+    else (p2 lsr o) lor (p3 lsl (32 - o)) lor (p4 lsl (64 - o))
+  else if o = 0 then p3 lor (p4 lsl 32)
+  else (p3 lsr o) lor (p4 lsl (32 - o)) lor (p5 lsl (64 - o))
+
+let rec multiple_of_pow5 v q =
+  q <= 0 || (v mod 5 = 0 && multiple_of_pow5 (v / 5) (q - 1))
+
+let multiple_of_pow2 v q = q < 62 && v land ((1 lsl q) - 1) = 0
+
+(* What %.Pg prints for d · 10^(x - P + 1), where d has P digits: the
+   %e layout when x < -4 or x >= P, else %f, trailing zeros dropped in
+   both. *)
+let emit buf d p x =
+  let d = ref d and len = ref p in
+  while !d mod 10 = 0 do
+    d := !d / 10;
+    decr len
+  done;
+  let len = !len and s = Bytes.create !len in
+  for k = len - 1 downto 0 do
+    Bytes.unsafe_set s k (Char.unsafe_chr (48 + (!d mod 10)));
+    d := !d / 10
+  done;
+  if x < -4 || x >= p then begin
+    Buffer.add_char buf (Bytes.get s 0);
+    if len > 1 then begin
+      Buffer.add_char buf '.';
+      Buffer.add_subbytes buf s 1 (len - 1)
+    end;
+    Buffer.add_char buf 'e';
+    Buffer.add_char buf (if x < 0 then '-' else '+');
+    let a = abs x in
+    if a >= 100 then Buffer.add_char buf (Char.chr (48 + (a / 100)));
+    Buffer.add_char buf (Char.chr (48 + (a / 10 mod 10)));
+    Buffer.add_char buf (Char.chr (48 + (a mod 10)))
+  end
+  else if x < 0 then begin
+    Buffer.add_string buf "0.";
+    for _ = 2 to -x do Buffer.add_char buf '0' done;
+    Buffer.add_subbytes buf s 0 len
+  end
+  else if len <= x + 1 then begin
+    Buffer.add_subbytes buf s 0 len;
+    for _ = len to x do Buffer.add_char buf '0' done
+  end
+  else begin
+    Buffer.add_subbytes buf s 0 (x + 1);
+    Buffer.add_char buf '.';
+    Buffer.add_subbytes buf s (x + 1) (len - x - 1)
+  end
+
+let pow10 =
+  let a = Array.make 19 1 in
+  for k = 1 to 18 do a.(k) <- 10 * a.(k - 1) done;
+  a
+
+(* Round-half-even of vr / unit from its floor d, where vr is the exact
+   floor when [exact] and anything above it otherwise. *)
+let round vr exact unit d =
+  let r = vr - (d * unit) and half = unit lsr 1 in
+  if r > half || (r = half && ((not exact) || d land 1 = 1)) then d + 1
+  else d
+
+(* Whether the decimal c (in the units of vr) lies in x's rounding
+   interval, whose ends have floors vm and vp. *)
+let inside c ~vp ~vp_exact ~vm ~vm_exact ~accept =
+  (c < vp || (c = vp && (accept || not vp_exact)))
+  && (c > vm || (c = vm && accept && vm_exact))
+
+(* d has p digits, or p + 1 when rounding carried. *)
+let emit_rounded buf d p x =
+  if d = pow10.(p) then emit buf (d / 10) p (x + 1) else emit buf d p x
+
+(* vr, vp and vm are floor (v / 10^e10) for x, the upper and the lower
+   end of its rounding interval; [*_exact] says the floor dropped
+   nothing. *)
+let rec add_digits buf ~vr ~vr_exact ~vp ~vp_exact ~vm ~vm_exact ~accept e10
+    =
+  if vr < pow10.(17) then
+    (* Only an exact scaling (q = 0) comes out short of 18 digits. *)
+    add_digits buf ~vr:(10 * vr) ~vr_exact ~vp:(10 * vp) ~vp_exact
+      ~vm:(10 * vm) ~vm_exact ~accept (e10 - 1)
+  else
+    (* u17 units of vr make one unit of the 17th digit; x is the decimal
+       exponent of the leading digit. *)
+    let wide = vr >= pow10.(18) in
+    let u17 = if wide then 100 else 10 in
+    let d17 = if wide then vr / 100 else vr / 10 in
+    let x = e10 + if wide then 18 else 17 in
+    let d15 = round vr vr_exact (100 * u17) (d17 / 100) in
+    if inside (d15 * 100 * u17) ~vp ~vp_exact ~vm ~vm_exact ~accept then
+      emit_rounded buf d15 15 x
+    else
+      let d16 = round vr vr_exact (10 * u17) (d17 / 10) in
+      if inside (d16 * 10 * u17) ~vp ~vp_exact ~vm ~vm_exact ~accept then
+        emit_rounded buf d16 16 x
+      else emit_rounded buf (round vr vr_exact u17 d17) 17 x
+
+(* x = v · 2^e2 with v = 4·m2 (two spare bits for the interval ends
+   v + 2 and v - 1 - mm_shift), scaled as in Ryū's d2d. *)
+let add_normal buf ieee_exp mant =
+  let m2 = (1 lsl 52) lor mant and e2 = ieee_exp - 1077 in
+  let mv = 4 * m2 in
+  let mp = mv + 2
+  and mm = mv - 1 - if mant <> 0 || ieee_exp <= 1 then 1 else 0 in
+  let accept = m2 land 1 = 0 in
+  if e2 >= 0 then
+    let q = log10_pow2 e2 - if e2 > 3 then 1 else 0 in
+    let j = q + pow5bits q + 124 - e2 in
+    add_digits buf
+      ~vr:(mul_shift mv pow5_inv q j) ~vr_exact:(multiple_of_pow5 mv q)
+      ~vp:(mul_shift mp pow5_inv q j) ~vp_exact:(multiple_of_pow5 mp q)
+      ~vm:(mul_shift mm pow5_inv q j) ~vm_exact:(multiple_of_pow5 mm q)
+      ~accept q
+  else
+    let q = log10_pow5 (-e2) - if -e2 > 1 then 1 else 0 in
+    let i = -e2 - q in
+    let j = q - pow5bits i + 125 in
+    add_digits buf
+      ~vr:(mul_shift mv pow5 i j) ~vr_exact:(multiple_of_pow2 mv q)
+      ~vp:(mul_shift mp pow5 i j) ~vp_exact:(multiple_of_pow2 mp q)
+      ~vm:(mul_shift mm pow5 i j) ~vm_exact:(multiple_of_pow2 mm q)
+      ~accept (q + e2)
+
+(* A subnormal x = v · 2^-1076 scales by bignum to 18 digits, floor (v ·
+   5^t / 2^(1076 - t)) for t = -e10: Ryū's scale leaves too few digits
+   for 17-digit rounding. The estimate of t is off by at most one, so
+   the floor stays below 2^64; from 2^60 up it comes back as max_int. *)
+let scaled v t =
+  let rec pow5 b t =
+    if t >= 12 then pow5 (Big.mul_small b 244140625) (t - 12)
+    else if t > 0 then pow5 (Big.mul_small b 5) (t - 1)
+    else b
+  in
+  let b = pow5 (Big.of_int v) t and sh = 1076 - t in
+  let hi = Big.bits b (sh + 32) in
+  if hi >= 1 lsl 28 then (max_int, false)
+  else ((hi lsl 32) lor Big.bits b sh, Big.low_zero b sh)
+
+let rec add_subnormal buf mant t =
+  let mv = 4 * mant in
+  let vr, vr_exact = scaled mv t in
+  if vr < pow10.(17) then add_subnormal buf mant (t + 1)
+  else if vr >= pow10.(18) then add_subnormal buf mant (t - 1)
+  else
+    let vp, vp_exact = scaled (mv + 2) t and vm, vm_exact = scaled (mv - 2) t in
+    add_digits buf ~vr ~vr_exact ~vp ~vp_exact ~vm ~vm_exact
+      ~accept:(mant land 1 = 0) (-t)
+
 external format_float : string -> float -> string = "caml_format_float"
 
-let exact_float x =
-  let exact s =
-    match float_of_string_opt s with
-    | Some y -> Float.equal y x
-    | None -> false
-  in
-  let s = format_float "%.15g" x in
-  if exact s then s
-  else
-    let s = format_float "%.16g" x in
-    if exact s then s else format_float "%.17g" x
+let add_float buf x =
+  let bits = Int64.bits_of_float x in
+  let ieee_exp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7FF
+  and mant = Int64.to_int (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) in
+  if ieee_exp = 0x7FF then Buffer.add_string buf (format_float "%.15g" x)
+  else begin
+    if Int64.compare bits 0L < 0 then Buffer.add_char buf '-';
+    if ieee_exp > 0 then add_normal buf ieee_exp mant
+    else if mant = 0 then Buffer.add_char buf '0'
+    else
+      add_subnormal buf mant
+        (17 - int_of_float (Float.floor (Float.log10 (Float.abs x))))
+  end
 
 let add_value buf v = Buffer.add_string buf (Dst.Value.to_string v)
 
@@ -449,15 +730,15 @@ let add_evidence buf e =
     if Dst.Domain.is_full_at frame sets (k * w) then Buffer.add_char buf '~'
     else Dst.Domain.add_set_at buf frame sets (k * w);
     Buffer.add_char buf '^';
-    Buffer.add_string buf (exact_float (Dst.Mass.F.focal_mass e k))
+    add_float buf (Dst.Mass.F.focal_mass e k)
   done;
   Buffer.add_char buf ']'
 
 let add_support buf s =
   Buffer.add_char buf '(';
-  Buffer.add_string buf (exact_float (Dst.Support.sn s));
+  add_float buf (Dst.Support.sn s);
   Buffer.add_string buf ", ";
-  Buffer.add_string buf (exact_float (Dst.Support.sp s));
+  add_float buf (Dst.Support.sp s);
   Buffer.add_char buf ')'
 
 let add_cell buf = function

@@ -134,10 +134,17 @@ val schema_of_string : string -> Schema.t
 
 val tuple_to_string : Etuple.t -> string
 (** One tuple row body ([k | cell | … | (sn, sp)], no [tuple] keyword).
-    Each mass and support prints as the shortest of [%.15g], [%.16g]
-    and [%.17g] that parses back to the same double, so
+    Each mass and support prints with {!add_float}, so
     [tuple_of_string] returns a bit-identical tuple (definite [float]
     cells aside, which print with [%g]). *)
+
+val add_float : Buffer.t -> float -> unit
+(** Appends the shortest of [%.15g], [%.16g] and [%.17g] that parses
+    back to the same double. The digits come from one pass of integer
+    arithmetic (Ryū's scaling, rounded half-to-even to 15, 16 and 17
+    digits and checked against the double's rounding interval), not
+    from formatting and re-parsing. NaN and infinities print as
+    [%.15g] prints them. *)
 
 val tuple_of_string : Schema.t -> string -> Etuple.t
 (** Inverse of {!tuple_to_string} under the same schema.

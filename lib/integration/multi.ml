@@ -152,6 +152,16 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior
       (* Each shard folds its slice of every source, left to right, and
          returns its conflict lists in absorption order. *)
       let absorb_shard i =
+        let first = (Lazy.force first_parts).(i) in
+        (* Every union keeps only sn > 0 tuples (the closure of §3.6); a
+           lone source meets no union, so it is filtered here alike. *)
+        let first =
+          if rest_parts = [] then
+            Erm.Relation.filter
+              (fun t -> Dst.Support.positive (Erm.Etuple.tm t))
+              first
+          else first
+        in
         let merged, confs =
           List.fold_left
             (fun (acc, confs) (name, parts) ->
@@ -160,8 +170,7 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior
               let merged, cs = Erm.Ops.union_report ?policy acc part in
               record_step name mark;
               (merged, cs :: confs))
-            ((Lazy.force first_parts).(i), [])
-            rest_parts
+            (first, []) rest_parts
         in
         (merged, List.rev confs)
       in

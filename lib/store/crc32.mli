@@ -1,12 +1,17 @@
 (** CRC-32 (IEEE, reflected) — the per-record checksum of segment
-    framing and the manifest trailer. Self-contained table-driven
-    implementation; matches the polynomial used by zlib/gzip, so
-    externally generated fixtures can be checked with standard tools. *)
+    framing and the manifest trailer. Self-contained slicing-by-8
+    implementation (eight 256-entry tables of native ints, 8 bytes per
+    step); matches the polynomial used by zlib/gzip, so externally
+    generated fixtures can be checked with standard tools. *)
 
 val digest : string -> int32
 
-val digest_sub : string -> pos:int -> len:int -> int32
-(** Checksum of the byte range [\[pos, pos+len)]. *)
+val update : int32 -> string -> pos:int -> len:int -> int32
+(** [update crc s ~pos ~len] continues the checksum [crc] over the byte
+    range [\[pos, pos+len)], as zlib's [crc32] does:
+    [update (digest a) b ~pos:0 ~len:(String.length b) = digest (a ^ b)]
+    and [digest s = update 0l s ~pos:0 ~len:(String.length s)].
+    @raise Invalid_argument if the range is not within [s]. *)
 
 val to_hex : int32 -> string
 (** Fixed-width 8-digit lower-case hex. *)

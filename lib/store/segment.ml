@@ -33,28 +33,37 @@ let kind_of = function
   | Upsert _ -> 'T'
   | Delete _ -> 'D'
 
-let payload_of = function
-  | Schema_rec text -> text
-  | Upsert { digest; row } -> digest ^ "\n" ^ row
-  | Delete { digest } -> digest
+(* A record's payload in the pieces it is written from, so that neither
+   the framing nor the checksum copies a row. *)
+let payload_parts = function
+  | Schema_rec text -> [ text ]
+  | Upsert { digest; row } -> [ digest; "\n"; row ]
+  | Delete { digest } -> [ digest ]
+
+(* The CRC covers the kind byte, then the payload. *)
+let kind_crc kind = Crc32.digest (String.make 1 kind)
 
 let encode_into buf r =
-  let kind = kind_of r and payload = payload_of r in
-  let crc = Crc32.digest (String.make 1 kind ^ payload) in
+  let kind = kind_of r and parts = payload_parts r in
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts
+  and crc =
+    List.fold_left
+      (fun c p -> Crc32.update c p ~pos:0 ~len:(String.length p))
+      (kind_crc kind) parts
+  in
   Buffer.add_char buf record_magic;
   Buffer.add_char buf kind;
   let b = Bytes.create 8 in
-  Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
+  Bytes.set_int32_le b 0 (Int32.of_int len);
   Bytes.set_int32_le b 4 crc;
   Buffer.add_bytes buf b;
-  Buffer.add_string buf payload
+  List.iter (Buffer.add_string buf) parts
 
-let encode records =
+let encode_file records =
   let buf = Buffer.create 1024 in
+  Buffer.add_string buf header;
   List.iter (encode_into buf) records;
   Buffer.contents buf
-
-let encode_file records = header ^ encode records
 
 let decode_payload kind payload =
   match kind with
@@ -94,14 +103,18 @@ let scan ?(verify = true) content =
         else if off + overhead + plen > len then
           (List.rev !records, off, Torn off)
         else begin
-          let payload = String.sub content (off + overhead) plen in
           let crc = String.get_int32_le content (off + 6) in
           if
             verify
-            && not (Int32.equal crc (Crc32.digest (String.make 1 kind ^ payload)))
+            && not
+                 (Int32.equal crc
+                    (Crc32.update (kind_crc kind) content
+                       ~pos:(off + overhead) ~len:plen))
           then (List.rev !records, off, Bad_crc_at off)
           else
-            match decode_payload kind payload with
+            match
+              decode_payload kind (String.sub content (off + overhead) plen)
+            with
             | None -> (List.rev !records, off, Bad_magic_at off)
             | Some r ->
                 records := r :: !records;

@@ -35,11 +35,8 @@ type tail =
 
 val digest_of_tuple : Erm.Etuple.t -> string
 
-val encode : record list -> string
-(** Record bytes only (appendable to an existing segment). *)
-
 val encode_file : record list -> string
-(** A whole segment: {!header} + {!encode}. *)
+(** A whole segment: {!header}, then each record framed in order. *)
 
 val scan : ?verify:bool -> string -> record list * int * tail
 (** Parse segment bytes: the records of the longest clean prefix, its

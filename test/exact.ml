@@ -35,3 +35,21 @@ let rel_equal r1 r2 =
          | Some t2 -> tuple t1 t2
          | None -> false)
        (Erm.Relation.tuples r1)
+
+(* The float text rule as a format-and-reparse loop: the shortest of
+   %.15g/%.16g/%.17g that reads back to the same double. It is the
+   oracle for Erm.Io.add_float, which computes the same bytes without
+   formatting or parsing. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let shortest x =
+  let exact s =
+    match float_of_string_opt s with
+    | Some y -> Float.equal y x
+    | None -> false
+  in
+  let s = format_float "%.15g" x in
+  if exact s then s
+  else
+    let s = format_float "%.16g" x in
+    if exact s then s else format_float "%.17g" x

@@ -495,6 +495,36 @@ let test_multi_single_source () =
   Alcotest.check feq "no peers means full trust" 1.0
     (List.assoc "solo" report.reliabilities)
 
+(* A lone source meets no union, yet the integrated relation must keep
+   the closure every union enforces: its sn = 0 tuples are dropped, as
+   integrating it beside an empty source drops them, inline and
+   sharded. *)
+let test_multi_single_source_cwa () =
+  let zero = S.make ~sn:0.0 ~sp:0.5 in
+  let g =
+    Erm.Relation.of_tuples_unchecked edge_schema
+      [ edge_tup ~tm:zero "x" "[low^1]";
+        edge_tup "y" "[high^0.6; ~^0.4]";
+        edge_tup ~tm:zero "z" "[low^0.5; ~^0.5]" ]
+  in
+  let src n r = { Integration.Multi.source_name = n; source_relation = r } in
+  let empty = src "empty" (Erm.Relation.empty edge_schema) in
+  List.iter
+    (fun shards ->
+      let sharded = { Query.Physical.shards; domains = 1 } in
+      let alone = Integration.Multi.integrate ~sharded [ src "g" g ] in
+      let beside = Integration.Multi.integrate ~sharded [ src "g" g; empty ] in
+      let at = Printf.sprintf " (%d shards)" shards in
+      Alcotest.(check bool) ("integrate [g] = integrate [g; empty]" ^ at) true
+        (Exact.rel_equal alone.integrated beside.integrated);
+      Alcotest.(check int) ("only the sn > 0 tuple" ^ at) 1
+        (Erm.Relation.cardinal alone.integrated);
+      Alcotest.(check bool) ("closure holds alone" ^ at) true
+        (Erm.Relation.satisfies_cwa alone.integrated);
+      Alcotest.(check bool) ("closure holds beside empty" ^ at) true
+        (Erm.Relation.satisfies_cwa beside.integrated))
+    [ 1; 2 ]
+
 let test_multi_empty_relations () =
   let report =
     Integration.Multi.integrate ~discount:true
@@ -630,6 +660,8 @@ let () =
           Alcotest.test_case "no sources" `Quick test_multi_no_sources ] );
       ( "multi-edges",
         [ Alcotest.test_case "single source" `Quick test_multi_single_source;
+          Alcotest.test_case "single source drops sn = 0" `Quick
+            test_multi_single_source_cwa;
           Alcotest.test_case "empty relations" `Quick
             test_multi_empty_relations;
           Alcotest.test_case "all-conflicting sources" `Quick

@@ -374,15 +374,6 @@ let codec_relation seed ~width ~size =
 let codec_arb =
   QCheck.(pair (int_range 0 1_000_000) (int_range 1 24))
 
-(* The oracle: the shortest of %.15g/%.16g/%.17g that reads back equal. *)
-let shortest x =
-  let s d = Printf.sprintf "%.*g" d x in
-  match
-    List.find_opt (fun d -> Float.equal (float_of_string (s d)) x) [ 15; 16 ]
-  with
-  | Some d -> s d
-  | None -> s 17
-
 (* The float tokens of a printed row: each mass (after '^', up to ';' or
    ']') in order, then sn and sp from the trailing "(sn, sp)". *)
 let printed_floats row =
@@ -409,7 +400,7 @@ let expected_floats t =
       | Erm.Etuple.Evidence e -> List.map snd (Dst.Mass.F.focals e))
     (Erm.Etuple.cells t)
   @ [ Dst.Support.sn (Erm.Etuple.tm t); Dst.Support.sp (Erm.Etuple.tm t) ]
-  |> List.map shortest
+  |> List.map Exact.shortest
 
 let prop_shortest_floats =
   QCheck.Test.make ~name:"every float prints as the shortest exact %.Ng"
