@@ -90,8 +90,8 @@ Anything else is evaluated as a query, e.g.:
 
 let env : (string * Erm.Relation.t) list ref = ref []
 
-(* Persistent execution context: the Dempster memo-cache survives
-   across queries. Probe indexes are cached inside Physical and checked
+(* Persistent execution context: the union memo survives across
+   queries. It and the probe indexes cached inside Physical are checked
    by physical equality per lookup, so rebinding a name is safe without
    invalidation here. *)
 let ctx = Query.Physical.create_ctx ()
@@ -135,12 +135,42 @@ let print_load_error path ~line ~col message =
   if col > 0 then Printf.printf "error: %s:%d:%d: %s\n" path line col message
   else Printf.printf "error: %s:%d: %s\n" path line message
 
-let load_file path =
-  match Erm.Io.load path with
-  | relations -> bind_loaded relations
-  | exception Erm.Io.Io_error { line; col; message } ->
-      print_load_error path ~line ~col message
-  | exception Sys_error m -> Printf.printf "error: %s\n" m
+(* Binds the relations of every file, or of none: the first file that
+   fails to load is reported, and nothing is bound. *)
+let load_files paths =
+  let rec go loaded = function
+    | [] -> bind_loaded (List.concat (List.rev loaded))
+    | path :: rest -> (
+        match Erm.Io.load path with
+        | relations -> go (relations :: loaded) rest
+        | exception Erm.Io.Io_error { line; col; message } ->
+            print_load_error path ~line ~col message
+        | exception Sys_error m -> Printf.printf "error: %s\n" m)
+  in
+  go [] paths
+
+(* What the shell prints for a failed query; [None] for an exception
+   that is no query failure. Every command that runs a query reports
+   through it. *)
+let query_error = function
+  | Query.Parser.Parse_error m -> Some ("parse error: " ^ m)
+  | Query.Physical.Rejected findings ->
+      Some
+        (String.concat "\n"
+           ("rejected by the static checker (.strict off to override):"
+           :: List.map (fun f -> "  " ^ f) findings))
+  | Query.Eval.Eval_error m
+  | Erm.Ops.Incompatible_schemas m
+  | Erm.Etuple.Tuple_error m ->
+      Some ("error: " ^ m)
+  | Dst.Mass.F.Total_conflict ->
+      Some "error: total conflict (kappa = 1) while combining evidence"
+  | _ -> None
+
+let reporting_query_errors f =
+  try f ()
+  with e -> (
+    match query_error e with Some m -> print_endline m | None -> raise e)
 
 (* The most recent successful query result — what .why explains. *)
 let last_result : Erm.Relation.t option ref = ref None
@@ -150,20 +180,10 @@ let current_store : Store.Estore.t option ref = ref None
 
 let run_query text =
   let mark = Obs.Trace.count Obs.Trace.default in
-  (match Query.Physical.run ~ctx ~guard ~sharded:!sharded !env text with
-  | r ->
+  reporting_query_errors (fun () ->
+      let r = Query.Physical.run ~ctx ~guard ~sharded:!sharded !env text in
       last_result := Some r;
-      Erm.Render.print ~title:"result" r
-  | exception Query.Parser.Parse_error m -> Printf.printf "parse error: %s\n" m
-  | exception Query.Physical.Rejected findings ->
-      Printf.printf "rejected by the static checker (.strict off to override):\n";
-      List.iter (fun f -> Printf.printf "  %s\n" f) findings
-  | exception Query.Eval.Eval_error m -> Printf.printf "error: %s\n" m
-  | exception Dst.Mass.F.Total_conflict ->
-      Printf.printf
-        "error: total conflict (kappa = 1) while combining evidence\n"
-  | exception Erm.Ops.Incompatible_schemas m -> Printf.printf "error: %s\n" m
-  | exception Erm.Etuple.Tuple_error m -> Printf.printf "error: %s\n" m);
+      Erm.Render.print ~title:"result" r);
   if Obs.Trace.on () then
     match Obs.Trace.forest ~from:mark Obs.Trace.default with
     | [] -> ()
@@ -286,7 +306,7 @@ let handle_command line =
       match List.assoc_opt rest !env with
       | Some r -> Erm.Render.print ~title:rest r
       | None -> Printf.printf "unknown relation %s\n" rest)
-  | ".load" -> load_file rest
+  | ".load" -> load_files [ rest ]
   | ".save" -> (
       match String.split_on_char ' ' rest with
       | [ name; file ] -> (
@@ -302,18 +322,15 @@ let handle_command line =
       | Some i ->
           let name = String.trim (String.sub rest 0 i) in
           let text = String.sub rest (i + 1) (String.length rest - i - 1) in
-          (match Query.Physical.run ~ctx ~sharded:!sharded !env text with
-          | r ->
+          reporting_query_errors (fun () ->
+              let r = Query.Physical.run ~ctx ~sharded:!sharded !env text in
               bind name
                 (Erm.Relation.map_tuples
                    (fun t -> Some t)
                    (Erm.Schema.rename_relation name (Erm.Relation.schema r))
                    r);
               Printf.printf "%s bound (%d tuples)\n" name
-                (Erm.Relation.cardinal r)
-          | exception Query.Parser.Parse_error m ->
-              Printf.printf "parse error: %s\n" m
-          | exception Query.Eval.Eval_error m -> Printf.printf "error: %s\n" m)
+                (Erm.Relation.cardinal r))
       | None -> print_string "usage: .let NAME = QUERY\n")
   | ".summary" -> (
       match List.assoc_opt rest !env with
@@ -396,11 +413,9 @@ let handle_command line =
       | exception Query.Parser.Parse_error m ->
           Printf.printf "parse error: %s\n" m)
   | ".open" -> (
-      match Erm.Io.load_dir rest with
-      | relations -> bind_loaded relations
-      | exception Sys_error m -> Printf.printf "error: %s\n" m
-      | exception Erm.Io.Io_error { line; message; _ } ->
-          Printf.printf "error: line %d: %s\n" line message)
+      match Erm.Io.erd_files rest with
+      | files -> load_files files
+      | exception Sys_error m -> Printf.printf "error: %s\n" m)
   | ".commit" -> (
       let relations = List.rev !env in
       match Erm.Io.save_dir rest relations with
@@ -632,22 +647,14 @@ let handle_command line =
             (Obs.Provenance.max_depth ())
       | _ -> print_string "usage: .provenance on|off|reset\n")
   | ".why" -> why_command rest
-  | ".analyze" -> (
-      match Query.Parser.parse rest with
-      | q -> (
-          match Query.Explain.analyze ~ctx ~sharded:!sharded !env q with
-          | r, report ->
-              Printf.printf "%s\n" (Query.Explain.report_to_string report);
-              Erm.Render.print ~title:"result" r
-          | exception Query.Eval.Eval_error m -> Printf.printf "error: %s\n" m
-          | exception Dst.Mass.F.Total_conflict ->
-              Printf.printf
-                "error: total conflict (kappa = 1) while combining evidence\n"
-          | exception Erm.Ops.Incompatible_schemas m ->
-              Printf.printf "error: %s\n" m
-          | exception Erm.Etuple.Tuple_error m -> Printf.printf "error: %s\n" m)
-      | exception Query.Parser.Parse_error m ->
-          Printf.printf "parse error: %s\n" m)
+  | ".analyze" ->
+      reporting_query_errors (fun () ->
+          let r, report =
+            Query.Explain.analyze ~ctx ~sharded:!sharded !env
+              (Query.Parser.parse rest)
+          in
+          Printf.printf "%s\n" (Query.Explain.report_to_string report);
+          Erm.Render.print ~title:"result" r)
   | _ -> Printf.printf "unknown command %s (try .help)\n" cmd
 
 let repl () =
@@ -745,5 +752,5 @@ let () =
               Printf.eprintf "eridb: invalid --rule value: %s\n" m;
               exit 2)
       | None -> ());
-      List.iter load_file files);
+      List.iter (fun f -> load_files [ f ]) files);
   repl ()

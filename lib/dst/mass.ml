@@ -46,7 +46,6 @@ module type S = sig
     ?rule:Rule.t -> ?prov:(string * string) list -> t -> t -> (t * num) option
   val combine_policy : ?policy:Rule.policy -> t -> t -> outcome
   val combine_policy_exn : ?policy:Rule.policy -> t -> t -> t
-  val relink : ?policy:Rule.policy -> t -> t -> outcome -> unit
   val combine_yager : t -> t -> t
   val combine_dubois_prade : t -> t -> t
   val combine_average : t -> t -> t
@@ -642,43 +641,6 @@ module Make (N : Num.S) : S with type num = N.t = struct
     | Conflicted -> raise Total_conflict
     | Quarantined { kappa } -> raise (Quarantined_cell (N.to_float kappa))
 
-  (* Cache-hit lineage reconstruction: rebuild exactly the node the
-     cold miss recorded, but only when the cache outlived the arena
-     (within one arena the digest is already bound and this adds
-     nothing). Quarantined and Conflicted outcomes bind no digest, so
-     there is nothing to relink. *)
-  let relink ?policy m1 m2 outcome =
-    let policy =
-      match policy with Some p -> p | None -> Rule.current ()
-    in
-    match outcome with
-    | Quarantined _ | Conflicted -> ()
-    | Combined { result; kappa; rule; escalated } -> (
-        match Obs.Provenance.find (digest result) with
-        | Some _ -> ()
-        | None ->
-            let prov =
-              if escalated then
-                match policy.Rule.escalation with
-                | Some e -> escalation_prov policy.Rule.primary e
-                | None -> []
-              else []
-            in
-            let record ~norm a b =
-              record_combine ~rule:(Rule.to_string rule) ~prov ~norm a b
-                (Some (result, kappa))
-            in
-            (match rule with
-            | Rule.Dempster -> record ~norm:(fun k -> 1.0 -. k) m1 m2
-            | Rule.Discount_then_combine alpha ->
-                (* The cold path combined the discounted operands (their
-                   Discount nodes re-record here), so the rebuilt node
-                   has the same inputs move for move. *)
-                let d1 = discount alpha m1 and d2 = discount alpha m2 in
-                record ~norm:(fun k -> 1.0 -. k) d1 d2
-            | Rule.Yager | Rule.Dubois_prade | Rule.Averaging ->
-                record ~norm:(fun _ -> 1.0) m1 m2))
-
   let combine_many ?(rule = Rule.Dempster) ms =
     match ms with
     | [] -> raise (Invalid_mass "combine_many: empty list")
@@ -785,11 +747,9 @@ module Make (N : Num.S) : S with type num = N.t = struct
     go 0
 
   (* A total order consistent with structural identity (exact masses, not
-     the tolerance of [equal]) so mass functions can key maps — the
-     combination memo-cache relies on it. Lexicographic over (set, mass)
-     pairs in focal order, a shorter assignment first: [Map.compare]'s
-     order, which picks the operand order of a cached pair and so the
-     float bits of its result. *)
+     the tolerance of [equal]) so mass functions can key maps.
+     Lexicographic over (set, mass) pairs in focal order, a shorter
+     assignment first: [Map.compare]'s order. *)
   let compare m1 m2 =
     let c = Domain.compare m1.frame m2.frame in
     if c <> 0 then c

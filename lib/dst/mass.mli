@@ -192,14 +192,6 @@ module type S = sig
   (** Like {!combine_policy} but raising: {!Total_conflict} on
       [Conflicted], {!Quarantined_cell} on [Quarantined]. *)
 
-  val relink : ?policy:Rule.policy -> t -> t -> outcome -> unit
-  (** Cache-hit lineage reconstruction: if the outcome's result digest
-      is not yet bound in the live arena, record the same Combine node
-      (rule, κ, norm, escalation annotations — and for the discount
-      rule, the same discounted operands) the cold miss recorded. The
-      memo-cache calls this so warm-hit lineage is indistinguishable
-      from the cold derivation for every rule. *)
-
   val combine_yager : t -> t -> t
   (** Yager's rule (extension beyond the paper): conflict mass is moved to
       Ω instead of being normalized away. Total conflict yields the
@@ -273,8 +265,7 @@ module type S = sig
   (** A structural total order (frame, then focal assignment with exact
       [num] comparison) suitable for [Map.Make]. Finer than {!equal} for
       the float instance: two functions within tolerance but not
-      bit-equal compare as different, which only costs a duplicate cache
-      entry, never a wrong result. *)
+      bit-equal compare as different. *)
 
   val hash : t -> int
   (** A hash consistent with {!compare}: [compare a b = 0] implies

@@ -11,9 +11,9 @@
     while conflict stays below κ₀, and at or above it either switch to a
     fallback rule or quarantine the merge with a typed outcome.
 
-    A policy is honored end-to-end: {!Mass.S.combine_policy},
-    {!Combine_cache} (the policy is part of the cache key), the merge
-    paths of [Erm.Ops] and [Integration], the sharded execution engine,
+    A policy is honored end-to-end: {!Mass.S.combine_policy}, the merge
+    paths of [Erm.Ops] and [Integration], the physical executor's union
+    memo (the policy is part of its key), the sharded execution engine,
     and the CLI/REPL surfaces. *)
 
 type t =
@@ -78,7 +78,7 @@ val policy_to_string : policy -> string
 (** Human form, e.g. ["dempster [kappa0 0.9 -> yager]"]. *)
 
 val policy_key : policy -> string
-(** Canonical key fragment for the combine cache: policies that could
+(** Canonical key fragment for the union memo: policies that could
     ever produce different outcomes have different keys (float
     parameters are rendered losslessly with [%h]). *)
 
@@ -96,7 +96,7 @@ val all : t list
 
 (** {1 The session policy}
 
-    Every combination seam ([Erm.Ops] merges, the combine cache, the
+    Every combination seam ([Erm.Ops] merges, the union memo, the
     integration folds) defaults to this process-global policy, so a
     surface sets it once and naive, physical and sharded execution all
     honor it. Set it before evaluation starts; worker

@@ -86,10 +86,10 @@ val combine_with :
   t ->
   t
 (** {!combine} with the per-cell evidence combination supplied by the
-    caller — the hook the memoized union uses to route cell merges
-    through a {!Dst.Combine_cache.t}. The membership frame is always
-    combined directly (boolean-frame Dempster is too cheap to cache).
-    Raises as the supplied function does. *)
+    caller — the hook through which {!Ops.union} and {!Ops.intersection}
+    apply the session's rule policy. The membership frame is always
+    combined by boolean-frame Dempster. Raises as the supplied function
+    does. *)
 
 val project : Schema.t -> t -> string list -> t
 (** Cells for [Schema.project]'s attribute list, membership retained. *)

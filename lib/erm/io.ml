@@ -854,11 +854,13 @@ let save path rels =
 
 (* A text snapshot has no manifest: every .erd file in the directory
    is part of it, and writing one never touches the others. *)
-let load_dir dir =
+let erd_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".erd")
   |> List.sort String.compare
-  |> List.concat_map (fun f -> load (Filename.concat dir f))
+  |> List.map (Filename.concat dir)
+
+let load_dir dir = List.concat_map load (erd_files dir)
 
 let save_dir dir named =
   List.iter

@@ -169,9 +169,13 @@ val save : string -> Relation.t list -> unit
     no manifest, one file per relation when written by {!save_dir}, any
     number of relations per file when read by {!load_dir}. *)
 
+val erd_files : string -> string list
+(** The paths of the directory's [*.erd] files, in file-name order.
+    @raise Sys_error if the directory cannot be read. *)
+
 val load_dir : string -> Relation.t list
-(** Every [*.erd] file in the directory, in file-name order; each
-    file's relations in file order. Other files are ignored.
+(** {!load} of every {!erd_files} path; each file's relations in file
+    order. Other files are ignored.
     @raise Sys_error if the directory cannot be read, and as {!load}
     otherwise. *)
 

@@ -91,19 +91,6 @@ let union ?policy a b =
       | exception Dst.Mass.F.Quarantined_cell _ -> None)
     a b
 
-let union_cached ~cache ?policy a b =
-  let schema = Relation.schema a in
-  union_with
-    (fun x y ->
-      match
-        Etuple.combine_with
-          ~combine_evidence:(Dst.Combine_cache.combine_policy_exn ?policy cache)
-          schema x y
-      with
-      | m -> merged_with_lineage x y m
-      | exception Dst.Mass.F.Quarantined_cell _ -> None)
-    a b
-
 (* Attribute-by-attribute merge so a conflict can name its column. The
    incremental store's delta fold shares this function so its per-key
    outcome (merged tuple, or conflict recorded and pair dropped) is

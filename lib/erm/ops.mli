@@ -44,19 +44,6 @@ val union :
     @raise Etuple.Tuple_error when matched definite attributes disagree
     (the paper's consistent-sources assumption). *)
 
-val union_cached :
-  cache:Dst.Combine_cache.t ->
-  ?policy:Dst.Rule.policy ->
-  Relation.t ->
-  Relation.t ->
-  Relation.t
-(** {!union} with every per-cell combination routed through the given
-    memo-cache. Bit-identical to {!union} under the same policy (the
-    cache replays outcomes verbatim, and its keys include the policy);
-    repeated merges of the same evidence pairs — the dominant cost of
-    the Figure-1 pipeline — become hash-table lookups. Raises exactly as
-    {!union} does. *)
-
 type conflict = {
   conflict_key : Dst.Value.t list;
   conflict_attr : string option;

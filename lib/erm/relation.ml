@@ -55,7 +55,9 @@ let mem r key = Kmap.mem key r.tuples
 let tuples r = List.map snd (Kmap.bindings r.tuples)
 let fold f r acc = Kmap.fold (fun _ t acc -> f t acc) r.tuples acc
 let iter f r = Kmap.iter (fun _ t -> f t) r.tuples
-let filter p r = { r with tuples = Kmap.filter (fun _ t -> p t) r.tuples }
+let filter p r =
+  let tuples = Kmap.filter (fun _ t -> p t) r.tuples in
+  if tuples == r.tuples then r else { r with tuples }
 let for_all p r = Kmap.for_all (fun _ t -> p t) r.tuples
 let exists p r = Kmap.exists (fun _ t -> p t) r.tuples
 

@@ -49,7 +49,8 @@ val fold : (Etuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Etuple.t -> unit) -> t -> unit
 val filter : (Etuple.t -> bool) -> t -> t
 (** Keeps the tuples satisfying the predicate, calling it once per tuple
-    in increasing key order. *)
+    in increasing key order. When it keeps every tuple, the result is
+    the input itself (physically equal). *)
 
 val for_all : (Etuple.t -> bool) -> t -> bool
 val exists : (Etuple.t -> bool) -> t -> bool

@@ -117,8 +117,8 @@ let help_exact =
       "Combinations rejected for total conflict (kappa = 1)." );
     ( "dst.combine.escalations",
       "Combinations whose kappa crossed the escalation threshold." );
-    ("combine_cache.hit", "Combination results served from the cache.");
-    ("combine_cache.miss", "Combination results computed and cached.");
+    ("union_memo.hit", "Union results served from the context's memo.");
+    ("union_memo.miss", "Union results derived and memoized.");
     ("physical.index_probe.rows", "Rows returned by key-index probes.");
     ("federation.retry.attempts", "Source fetch attempts (including retries).");
     ("federation.retry.backoff_ms", "Backoff delay per retried fetch.");

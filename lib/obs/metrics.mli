@@ -9,7 +9,7 @@
     and the test suites enable it explicitly.
 
     Metric names are static strings in the source (dot-separated,
-    lower-case: [dst.combine.calls], [combine_cache.hit],
+    lower-case: [dst.combine.calls], [union_memo.hit],
     [physical.index_probe.rows], [federation.retry.attempts],
     [io.parse.lines], [exec.index.build] / [exec.index.reuse] for the
     sharded partition and index cache, and the persistent store's

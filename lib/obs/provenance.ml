@@ -16,6 +16,7 @@ type t = {
   mutable len : int;
   index : (string, int) Hashtbl.t;
   mutable live : bool;
+  mutable generation : int;
 }
 
 let dummy =
@@ -28,11 +29,12 @@ let dummy =
     args = [];
     inputs = [||] }
 
-let create () =
-  { arr = Array.make 64 dummy; len = 0; index = Hashtbl.create 64; live = true }
+let arena live =
+  { arr = Array.make 64 dummy; len = 0; index = Hashtbl.create 64; live;
+    generation = 0 }
 
-let default =
-  { arr = Array.make 64 dummy; len = 0; index = Hashtbl.create 64; live = false }
+let create () = arena true
+let default = arena false
 
 let on () = default.live
 let enable () = default.live <- true
@@ -41,9 +43,11 @@ let disable () = default.live <- false
 let reset ?(store = default) () =
   store.arr <- Array.make 64 dummy;
   store.len <- 0;
-  Hashtbl.reset store.index
+  Hashtbl.reset store.index;
+  store.generation <- store.generation + 1
 
 let count ?(store = default) () = store.len
+let generation ?(store = default) () = store.generation
 
 let grow store =
   if store.len = Array.length store.arr then begin

@@ -16,11 +16,14 @@
 
     Nodes are keyed by {e value digests} (see [Dst.Mass.digest]): two
     derivations producing bit-identical values share one node, which
-    is what lets [Dst.Combine_cache] hits link to the original
-    derivation instead of re-deriving, and what makes the lineage of a
-    physical plan meet the naive evaluator's on every shared value.
-    Registration is first-wins: once a digest resolves to a node, later
-    derivations of the same value reuse it. *)
+    is what makes the lineage of a physical plan meet the naive
+    evaluator's on every shared value. Registration is first-wins: once
+    a digest resolves to a node, later derivations of the same value
+    reuse it. A memo that hands back a value derived earlier (the
+    physical executor's union memo) serves it while recording only if
+    it was derived into the current arena, which {!generation} tells
+    apart; otherwise the value is derived again, so every derivation
+    step is in the arena that {!Why} walks. *)
 
 type kind =
   | Source  (** a stored source tuple's cell or membership support *)
@@ -63,6 +66,11 @@ val reset : ?store:t -> unit -> unit
 
 val count : ?store:t -> unit -> int
 (** Number of nodes allocated so far (also the next node id). *)
+
+val generation : ?store:t -> unit -> int
+(** How many times {!reset} has emptied the arena. A value derived
+    while recording at generation [g] has its lineage in the arena for
+    as long as the generation stays [g]. *)
 
 val add :
   ?store:t ->

@@ -39,7 +39,7 @@ val to_string : node -> string
     Unlike {!explain}, [analyze] {e does} evaluate: it plans the query
     with {!Physical.plan_optimized}, executes it, and returns the result
     together with the measured per-operator tree — actual cardinalities,
-    closure/threshold pruning, index and memo-cache traffic, and
+    closure/threshold pruning, index and union-memo traffic, and
     per-operator wall time (see {!Stats} for field semantics). *)
 
 val analyze :

@@ -228,10 +228,45 @@ let to_string p = Format.asprintf "%a" pp p
 (* ------------------------------------------------------------------ *)
 (* Execution context and fan-out configuration                         *)
 
-type ctx = { cache : Dst.Combine_cache.t }
+(* The union memo. A union is a pure function of its operands and the
+   rule policy, so the context keeps the [memo_capacity] most recent
+   union results, each in an ephemeron keyed on the two operands by
+   physical identity: it keeps no operand, or result, alive after the
+   operands' last other reference is gone. [arena] is the provenance
+   generation a result was derived in while recording; a recording run
+   is served only results whose lineage is in the current arena. *)
+type derived = {
+  policy : string;
+  arena : int option;
+  result : Erm.Relation.t;
+}
 
-let create_ctx () = { cache = Dst.Combine_cache.create () }
-let cache ctx = ctx.cache
+type ctx = {
+  mutable unions :
+    (Erm.Relation.t, Erm.Relation.t, derived) Ephemeron.K2.t list;
+}
+
+let memo_capacity = 16
+let create_ctx () = { unions = [] }
+
+let arena () =
+  if Obs.Provenance.on () then Some (Obs.Provenance.generation ()) else None
+
+let memo_find ctx policy a b =
+  let live = arena () in
+  List.find_map
+    (fun e ->
+      match Ephemeron.K2.query e a b with
+      | Some d
+        when String.equal d.policy policy && (live = None || d.arena = live) ->
+          Some d.result
+      | Some _ | None -> None)
+    ctx.unions
+
+let memo_add ctx policy a b result =
+  ctx.unions <-
+    Ephemeron.K2.make a b { policy; arena = arena (); result }
+    :: List.filteri (fun i _ -> i < memo_capacity - 1) ctx.unions
 
 type sharded = { shards : int; domains : int }
 
@@ -345,14 +380,6 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
     Obs.Metrics.gauge "exec.shards" (float_of_int shards);
     Obs.Metrics.gauge "exec.workers" (float_of_int workers)
   end;
-  (* One Dempster cache per shard. A single shard uses the context's
-     memo cache, which stays warm across queries; several shards get a
-     fresh cache each per execute, at every worker count, so
-     combine_cache.* counters cannot depend on [domains]. *)
-  let caches =
-    if shards = 1 then [| ctx.cache |]
-    else Array.init shards (fun _ -> Dst.Combine_cache.create ())
-  in
   let event kind op fields msg =
     if Obs.Log.on () then
       Obs.Log.record ~severity:Obs.Log.Debug
@@ -431,11 +458,22 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
         let base = rel_of env rel in
         let out =
           timed (fun () ->
-              fan_out "scan"
-                (fun () ->
-                  if shards = 1 then [| base |]
-                  else (cached_parts ~shards rel base).c_parts)
-                (fun i parts -> select_project parts.(i) residual threshold cols))
+              match (residual, threshold, cols) with
+              | Ast.True, Erm.Threshold.Always, None ->
+                  (* A bare scan selects nothing: it is its bound relation
+                     at every shard count, less any sn = 0 tuples of an
+                     unchecked one, so repeated unions of bound relations
+                     meet in the memo. *)
+                  Erm.Relation.filter
+                    (fun t -> Dst.Support.positive (Erm.Etuple.tm t))
+                    base
+              | _ ->
+                  fan_out "scan"
+                    (fun () ->
+                      if shards = 1 then [| base |]
+                      else (cached_parts ~shards rel base).c_parts)
+                    (fun i parts ->
+                      select_project parts.(i) residual threshold cols))
         in
         finish ~children:[] ~rows_in:(card base) out
     | Scan { rel; access = Index_eq { attr; value }; residual; threshold; cols }
@@ -533,22 +571,29 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
     | Union (a, b) ->
         let ra, arep = exec a in
         let rb, brep = exec b in
-        let out, tallies =
+        (* One memo lookup per union node, before any fan-out, so the
+           memo counters do not depend on the shard count. A union that
+           raises stores nothing. *)
+        let policy = Dst.Rule.policy_key (Dst.Rule.current ()) in
+        let out =
           timed (fun () ->
-              fan_out_tallied "union" (by_keys ra rb) (fun i (pa, pb) ->
-                  let cache = caches.(i) in
-                  let h0 = Dst.Combine_cache.hits cache
-                  and m0 = Dst.Combine_cache.misses cache in
+              match memo_find ctx policy ra rb with
+              | Some out ->
+                  stats.Stats.cache_hits <- 1;
+                  Obs.Metrics.incr "union_memo.hit";
+                  out
+              | None ->
+                  stats.Stats.cache_misses <- 1;
+                  Obs.Metrics.incr "union_memo.miss";
                   let out =
-                    try Erm.Ops.union_cached ~cache pa.(i) pb.(i)
-                    with Erm.Ops.Incompatible_schemas m -> fail "union: %s" m
+                    fan_out "union" (by_keys ra rb) (fun i (pa, pb) ->
+                        try Erm.Ops.union pa.(i) pb.(i)
+                        with Erm.Ops.Incompatible_schemas m ->
+                          fail "union: %s" m)
                   in
-                  ( out,
-                    ( Dst.Combine_cache.hits cache - h0,
-                      Dst.Combine_cache.misses cache - m0 ) )))
+                  memo_add ctx policy ra rb out;
+                  out)
         in
-        stats.Stats.cache_hits <- sum fst tallies;
-        stats.Stats.cache_misses <- sum snd tallies;
         finish ~children:[ arep; brep ] ~rows_in:(card ra + card rb) out
     | Intersect (a, b) ->
         let ra, arep = exec a in
@@ -569,6 +614,10 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
                   try Erm.Ops.difference pa.(i) pb.(i)
                   with Erm.Ops.Incompatible_schemas m -> fail "except: %s" m))
         in
+        (* A difference that removes nothing keeps [ra]'s very tuples;
+           one shard returns [ra] itself, so every shard count does, and
+           the union memo sees the same operands at every shard count. *)
+        let out = if card out = card ra then ra else out in
         finish ~children:[ arep; brep ] ~rows_in:(card ra) out
     | Rank { input; by; ascending; limit } ->
         (* A LIMIT cuts globally, so rank runs on the merged child. *)

@@ -14,8 +14,8 @@
       attributes of the two operands becomes a {e hash join}
       ({!Erm.Ops.join_indexed}) with the remaining conjuncts as a
       residual; θ-predicates over evidence sets keep the nested loop;
-    - extended unions route their Dempster combinations through a
-      {e memo-cache} ({!Dst.Combine_cache}).
+    - an extended union whose operands and rule policy the context has
+      seen before is a memo lookup ({!ctx}).
 
     Every operator that can be partitioned runs as [shards] independent
     sub-evaluations over a content-addressed partition of its inputs
@@ -95,14 +95,18 @@ val to_string : t -> string
 (** {1 Execution} *)
 
 type ctx
-(** Execution context: the Dempster memo-cache that single-shard unions
-    combine through. Reusing a context across queries (as the REPL does)
-    reuses memoized combinations. *)
+(** Execution context: the union memo. It keeps the 16 most recent
+    union results, keyed on {!Dst.Rule.policy_key} of the session
+    policy and on the two operands, in order, by physical identity
+    (through ephemerons, so it keeps no relation alive). Reusing a
+    context across queries, as the REPL does, makes a repeated union of
+    the same relations under the same policy one lookup, whose result
+    is the one derived before: bits never depend on the session's
+    history. While provenance records, only results derived into the
+    current arena ({!Obs.Provenance.generation}) are served; otherwise
+    the union is derived again. One context per calling domain. *)
 
 val create_ctx : unit -> ctx
-
-val cache : ctx -> Dst.Combine_cache.t
-(** The context's Dempster memo-cache (for lifetime statistics). *)
 
 type sharded = {
   shards : int;  (** Partitions per operator (≥ 1). *)
@@ -137,9 +141,11 @@ val execute_measured :
     report tree's shape, details and row counts do not depend on
     [sharded] (which counters are summed per shard: see {!Stats}).
 
-    Caches: with one shard, unions combine through the context's
-    memo-cache; with several, each shard gets a fresh
-    {!Dst.Combine_cache} per call, at every worker count.
+    Memo: each union node looks the context up once, before any
+    fan-out, counting [union_memo.hit] or [.miss]; a miss fans out
+    plain {!Erm.Ops.union} and stores the merged result unless it
+    raises. A bare scan runs no fan-out: it is its bound relation, less
+    any [sn = 0] tuples.
 
     Telemetry: every operator emits a [query.physical] span and
     [physical.<op>.*] metrics. Only a real fan-out ([shards > 1]) adds

@@ -15,9 +15,9 @@
     - [index_hits]/[index_misses] — probes that found / did not find a
       bucket, for index scans (one probe per query) and hash joins (one
       probe per left tuple).
-    - [cache_hits]/[cache_misses] — Dempster memo-cache traffic
-      ({!Dst.Combine_cache}) attributable to this operator (union and
-      intersection only).
+    - [cache_hits]/[cache_misses] — the union's lookup in the
+      context's union memo ({!Physical.ctx}): one hit or one miss per
+      union node, [0] for every other operator.
     - [wall_ns] — wall-clock time spent in this operator, {e excluding}
       its children (partitioning, fan-out and merge included).
 
@@ -25,12 +25,10 @@
     its own tallies and the executor sums them after the barrier, so
     only the calling domain writes these fields. Summed per shard:
     an index probe's bucket size ([rows_in], still counted as one
-    probe), a hash join's [index_hits]/[index_misses] and [pruned], and
-    a union's [cache_hits]/[cache_misses]. All of these except the
-    cache counters equal the one-shard values. The cache counters do
-    not: one shard combines through the context's memo-cache, which
-    may be warm from earlier queries, while several shards each start
-    from a fresh cache. Every other field is computed from whole
+    probe), a hash join's [index_hits]/[index_misses] and [pruned]. All
+    of these equal the one-shard values. A union looks the memo up
+    once, before any fan-out, so its cache counters do not depend on
+    the shard count either. Every other field is computed from whole
     relations. *)
 
 type t = {

@@ -9,8 +9,9 @@
    - the same executor fanned out (Query.Physical ~sharded), for
      every tested shard count × worker (domain) count, including
      with tracing or provenance recording live — partitioning and
-     parallelism must have no representational effect either (each
-     shard combines through its own fresh Dst.Combine_cache);
+     parallelism must have no representational effect either (a
+     miss in the context's union memo fans out plain Ops.union on every
+     shard);
    - the single-source integration surface (Integration.Multi), which
      must be the identity on any query result;
    - the sharded integrate (Integration.Multi.integrate ~sharded), whose

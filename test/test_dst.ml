@@ -375,10 +375,10 @@ let test_pp_notation () =
 
 (* --- metamorphic combination properties ----------------------------- *)
 
-(* Dempster's rule probed through the production paths: the memo-cache
-   wrapper, the metrics-instrumented combine_opt, and the tracer. The
-   generated evidence keeps Gen's default Ω floor, so κ < 1 and
-   combination never throws Total_conflict. *)
+(* Dempster's rule probed through the production paths: the physical
+   executor's union memo, the metrics-instrumented combine_opt, and the
+   tracer. The generated evidence keeps Gen's default Ω floor, so κ < 1
+   and combination never throws Total_conflict. *)
 
 let meta_prop name law =
   QCheck_alcotest.to_alcotest
@@ -408,11 +408,33 @@ let with_default_metrics f =
 let metamorphic_props =
   [ meta_prop "combination is commutative under the memo-cache" (fun s ->
         let m1, m2 = gen_pair s in
-        let cache = Dst.Combine_cache.create () in
-        let a = Dst.Combine_cache.combine cache m1 m2 in
-        let b = Dst.Combine_cache.combine cache m2 m1 in
-        (* The canonical pair ordering makes the swapped call a hit. *)
-        M.equal a b && Dst.Combine_cache.hits cache = 1);
+        (* One-tuple relations holding m1 and m2, united both ways on
+           one context: the memo keys operand order, so the swapped
+           union is derived afresh, and its cell equals the first's. *)
+        let rel name m =
+          let schema =
+            Erm.Schema.make ~name
+              ~key:[ Erm.Attr.definite "k" "string" ]
+              ~nonkey:[ Erm.Attr.evidential "e" meta_dom ]
+          in
+          Erm.Relation.of_tuples schema
+            [ Erm.Etuple.make schema ~key:[ V.string "k" ]
+                ~cells:[ Erm.Etuple.Evidence m ] ~tm:Dst.Support.certain ]
+        in
+        let env = [ ("a", rel "a" m1); ("b", rel "b" m2) ] in
+        let ctx = Query.Physical.create_ctx () in
+        let cell q =
+          match Erm.Relation.tuples (Query.Physical.run ~ctx env q) with
+          | [ t ] -> (
+              match Erm.Etuple.cells t with
+              | [ Erm.Etuple.Evidence m ] -> m
+              | _ -> assert false)
+          | _ -> assert false
+        in
+        let ab = cell "a UNION b" and ba = cell "b UNION a" in
+        M.equal ab ba
+        && M.compare ab (M.combine m1 m2) = 0
+        && M.compare ba (M.combine m2 m1) = 0);
     meta_prop "combination is associative (within float tolerance)" (fun s ->
         let m1, m2, m3 = gen_triple s in
         M.equal (M.combine (M.combine m1 m2) m3)
@@ -575,12 +597,13 @@ let test_combine_allocation () =
           size words bound)
     [ (8, 285. *. 1.25); (70, 331. *. 1.25) ]
 
-(* --- Mass.S.hash and the hash-keyed Combine_cache ------------------ *)
+(* --- Mass.S.hash -------------------------------------------------- *)
 
-(* [compare a b = 0] must imply equal hashes, or the cache would file
-   one pair under two buckets. Equal masses are built here the ways the
-   library builds them apart: from permuted entry lists, over frames with
-   the same values under different names, and over two-word frames. *)
+(* [compare a b = 0] must imply equal hashes, or a hash table keyed on
+   masses would file one value under two buckets. Equal masses are
+   built here the ways the library builds them apart: from permuted
+   entry lists, over frames with the same values under different names,
+   and over two-word frames. *)
 let hash_prop name law =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:300 (QCheck.int_range 0 1_000_000) law)
@@ -623,52 +646,6 @@ let test_hash_allocates_nothing () =
   List.iter (fun m -> ignore (Sys.opaque_identity (M.hash m))) ms;
   let words = Gc.minor_words () -. before in
   if words > 10. then Alcotest.failf "%.0f minor words for 100 hashes" words
-
-(* Within tolerance (M.equal) but not bit-equal: two entries, never a
-   hit served across them. *)
-let test_cache_tolerance_entries () =
-  let d = Workload.Gen.domain ~size:4 "tol" in
-  let v0 = Vs.singleton (V.string "v0") in
-  let a = M.make d [ (v0, 0.5); (D.values d, 0.5) ] in
-  let a' = M.make d [ (v0, 0.5 +. 1e-13); (D.values d, 0.5 -. 1e-13) ] in
-  let b = M.simple_support d (Vs.of_list [ V.string "v0"; V.string "v1" ]) 0.3 in
-  Alcotest.(check bool) "equal within tolerance" true (M.equal a a');
-  Alcotest.(check bool) "not bit-equal" true (M.compare a a' <> 0);
-  let c = Dst.Combine_cache.create () in
-  ignore (Dst.Combine_cache.combine c a b);
-  ignore (Dst.Combine_cache.combine c a' b);
-  Alcotest.(check int) "two entries" 2 (Dst.Combine_cache.size c);
-  Alcotest.(check int) "two misses" 2 (Dst.Combine_cache.misses c);
-  Alcotest.(check int) "no hit" 0 (Dst.Combine_cache.hits c)
-
-(* The cache keys each policy once and reuses the key while the same
-   policy value keeps coming; a different κ₀ must still miss. *)
-let test_cache_policy_kappa0 () =
-  let rng = Workload.Rng.create 11 in
-  let a = Workload.Gen.evidence rng ~focals:3 meta_dom in
-  let b = Workload.Gen.evidence rng ~focals:3 meta_dom in
-  let policy kappa0 =
-    Dst.Rule.make
-      ~escalation:(Dst.Rule.escalate ~kappa0 Dst.Rule.Quarantine)
-      Dst.Rule.Dempster
-  in
-  let p1 = policy 0.25 and p2 = policy 0.75 in
-  let c = Dst.Combine_cache.create () in
-  let run p = ignore (Dst.Combine_cache.combine_policy ~policy:p c a b) in
-  run p1;
-  run p1;
-  Alcotest.(check int) "warm under the first policy" 1
-    (Dst.Combine_cache.hits c);
-  run p2;
-  Alcotest.(check int) "no hit across kappa0" 1 (Dst.Combine_cache.hits c);
-  Alcotest.(check int) "one entry per policy" 2 (Dst.Combine_cache.size c);
-  run p1;
-  run p2;
-  run (policy 0.75);
-  Alcotest.(check int) "each policy hits its own entry" 4
-    (Dst.Combine_cache.hits c);
-  Alcotest.(check int) "misses only when first seen" 2
-    (Dst.Combine_cache.misses c)
 
 let () =
   Alcotest.run "dst"
@@ -727,9 +704,5 @@ let () =
       ( "mass-hash",
         hash_props
         @ [ Alcotest.test_case "hash allocates nothing" `Quick
-              test_hash_allocates_nothing;
-            Alcotest.test_case "tolerance-equal masses: two entries" `Quick
-              test_cache_tolerance_entries;
-            Alcotest.test_case "no hit across kappa0" `Quick
-              test_cache_policy_kappa0 ] );
+              test_hash_allocates_nothing ] );
       ("metamorphic", metamorphic_props) ]

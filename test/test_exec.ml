@@ -10,9 +10,13 @@
      62 values, bit-identical to Query.Eval); metrics rollups (under a
      virtual clock) and the lineage DOT export are byte-identical too;
      the measured report tree keeps its shape and row counts at every
-     shard and worker count; and the dst.*/combine_cache.* counter
+     shard and worker count; and the dst.*/union_memo.* counter
      families are invariant across SHARD counts, not just worker
-     counts. *)
+     counts;
+   - the union memo: a result's bits do not depend on what the context
+     memoized before, a bare scan is its bound relation at every shard
+     count (so repeated unions of bound relations meet in the memo), and
+     the memo keeps no dropped relation alive. *)
 
 module R = Workload.Rng
 module G = Workload.Gen
@@ -24,7 +28,7 @@ let render r = Format.asprintf "%a" Erm.Relation.pp r
 let sharded shards domains = { P.shards; domains }
 
 (* A workload with guaranteed key overlap, so unions actually combine
-   evidence (and the combine caches see traffic). *)
+   evidence. *)
 let env_of seed =
   let rng = R.create seed in
   let ra, rb = G.source_pair rng ~size:40 ~overlap:0.5 Q.schema in
@@ -469,18 +473,29 @@ let counters_invariant_across_shard_counts () =
     with_virtual_clock (fun () ->
         with_metrics (fun () ->
             let ctx = P.create_ctx () in
+            (* An EXCEPT that removes nothing is its left operand at
+               every shard count, so this union meets union_q in the
+               memo; then every query twice over. *)
+            let except_nothing =
+              let ra = Query.Ast.Rel "ra" in
+              Query.Ast.Union
+                ( Query.Ast.Except (ra, Query.Ast.Except (ra, ra)),
+                  Query.Ast.Rel "rb" )
+            in
             List.iter
               (fun q ->
                 ignore (P.eval_fast ~ctx ~sharded:(sharded shards 1) env q))
-              qs;
+              ((except_nothing :: qs) @ qs);
             List.map
               (fun name -> (name, Obs.Metrics.counter name))
               [ "dst.combine.calls";
                 "dst.combine.total_conflict";
-                "combine_cache.hit";
-                "combine_cache.miss" ]))
+                "union_memo.hit";
+                "union_memo.miss" ]))
   in
   let reference = counters_for 1 in
+  Alcotest.(check bool) "the memo hits" true
+    (List.assoc "union_memo.hit" reference > 0);
   List.iter
     (fun shards ->
       Alcotest.(check (list (pair string int)))
@@ -512,6 +527,104 @@ let lineage_dot_byte_identical () =
         (Printf.sprintf "lineage DOT, %d domains" domains)
         reference (dot_for domains))
     worker_counts
+
+(* --- union memo -------------------------------------------------------- *)
+
+(* Every cell bit for bit: definite values, evidence under Mass.compare
+   (not the tolerance of Relation.equal), and both support floats. *)
+let same_bits r1 r2 =
+  let cell c1 c2 =
+    match (c1, c2) with
+    | Erm.Etuple.Definite v, Erm.Etuple.Definite w -> Dst.Value.equal v w
+    | Erm.Etuple.Evidence m, Erm.Etuple.Evidence n ->
+        Dst.Mass.F.compare m n = 0
+    | _ -> false
+  in
+  let tm t = Erm.Etuple.tm t in
+  List.equal
+    (fun t u ->
+      Erm.Etuple.key t = Erm.Etuple.key u
+      && List.equal cell (Erm.Etuple.cells t) (Erm.Etuple.cells u)
+      && Float.equal (Dst.Support.sn (tm t)) (Dst.Support.sn (tm u))
+      && Float.equal (Dst.Support.sp (tm t)) (Dst.Support.sp (tm u)))
+    (Erm.Relation.tuples r1) (Erm.Relation.tuples r2)
+
+(* Union is commutative only up to float rounding, so a memo that served
+   [rb UNION ra] from [ra UNION rb] would make a result's bits depend on
+   the session's history. *)
+let union_bits_independent_of_history () =
+  let ra, rb =
+    G.source_pair (R.create 505) ~focals:4 ~size:60 ~overlap:1.0 Q.schema
+  in
+  let env = [ ("ra", ra); ("rb", rb) ] in
+  let swapped = Query.Ast.Union (Query.Ast.Rel "rb", Query.Ast.Rel "ra") in
+  List.iter
+    (fun shards ->
+      let run ctx q = P.eval_fast ~ctx ~sharded:(sharded shards 1) env q in
+      let ctx = P.create_ctx () in
+      ignore (run ctx union_q);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): rb UNION ra = a fresh context's" shards)
+        true
+        (same_bits (run ctx swapped) (run (P.create_ctx ()) swapped)))
+    [ 1; 2 ]
+
+let bare_scan_is_bound_relation () =
+  let env = env_of 606 in
+  let ra = List.assoc "ra" env in
+  let scan env = P.plan env (Query.Ast.Rel "ra") in
+  List.iter
+    (fun shards ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): the bound relation itself" shards)
+        true
+        (P.execute ~sharded:(sharded shards 1) env (scan env) == ra))
+    [ 1; 2; 8 ];
+  (* sn = 0 tuples of an unchecked relation still go *)
+  let zero, rest =
+    match Erm.Relation.tuples ra with
+    | t :: rest ->
+        (Erm.Etuple.with_tm (Dst.Support.make ~sn:0.0 ~sp:0.5) t, rest)
+    | [] -> Alcotest.fail "empty fixture"
+  in
+  let unchecked =
+    Erm.Relation.of_tuples_unchecked (Erm.Relation.schema ra) (zero :: rest)
+  in
+  let env' = [ ("ra", unchecked) ] in
+  List.iter
+    (fun shards ->
+      let out = P.execute ~sharded:(sharded shards 1) env' (scan env') in
+      Alcotest.(check int)
+        (Printf.sprintf "%d shard(s): sn = 0 dropped" shards)
+        (Erm.Relation.cardinal ra - 1) (Erm.Relation.cardinal out);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d shard(s): CWA holds" shards)
+        true (Erm.Relation.satisfies_cwa out))
+    [ 1; 2; 8 ]
+
+let memo_does_not_pin_relations () =
+  let ctx = P.create_ctx () in
+  let union_and_forget shards =
+    let env = env_of (90 + shards) in
+    let weak = Weak.create 3 in
+    Weak.set weak 0 (Some (List.assoc "ra" env));
+    Weak.set weak 1 (Some (List.assoc "rb" env));
+    Weak.set weak 2
+      (Some (P.eval_fast ~ctx ~sharded:(sharded shards 1) env union_q));
+    weak
+  in
+  List.iter
+    (fun shards ->
+      let weak = (union_and_forget [@inlined never]) shards in
+      Gc.full_major ();
+      List.iteri
+        (fun i what ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d shard(s): %s collected" shards what)
+            false (Weak.check weak i))
+        [ "left operand"; "right operand"; "result" ])
+    [ 1; 4 ];
+  ignore (Sys.opaque_identity ctx)
 
 (* --- scan cache: per-shard partitions and indexes -------------------- *)
 
@@ -637,7 +750,14 @@ let () =
           Alcotest.test_case "dst/cache counters shard-count-invariant"
             `Quick counters_invariant_across_shard_counts;
           Alcotest.test_case "lineage DOT byte-identical across worker counts"
-            `Quick lineage_dot_byte_identical ] );
+            `Quick lineage_dot_byte_identical;
+          Alcotest.test_case "union bits independent of session history"
+            `Quick union_bits_independent_of_history ] );
+      ( "union-memo",
+        [ Alcotest.test_case "bare scan is its bound relation" `Quick
+            bare_scan_is_bound_relation;
+          Alcotest.test_case "memo does not pin dropped relations" `Quick
+            memo_does_not_pin_relations ] );
       ( "scan-cache",
         [ Alcotest.test_case "per-shard indexes reused across queries" `Quick
             index_reuse_across_queries;

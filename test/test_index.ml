@@ -2,7 +2,7 @@
    planner builds on them: duplicate indexed values, empty relations,
    Not_definite on evidential attributes, snapshot staleness after
    Relation.replace (both at the Index level and through the Physical
-   execution context), and the Dempster memo-cache. *)
+   execution context), and the context's union memo. *)
 
 module M = Dst.Mass.F
 module V = Dst.Value
@@ -136,7 +136,7 @@ let ctx_tests =
         (* and the original binding still answers as before *)
         check_int "back to original" 2 (run [ ("r", r) ])) ]
 
-(* --- dempster memo-cache -------------------------------------------- *)
+(* --- union memo ------------------------------------------------------ *)
 
 let ev atoms =
   M.make rating_dom
@@ -144,36 +144,105 @@ let ev atoms =
        (fun (a, w) -> (Dst.Vset.singleton (V.string a), w))
        atoms)
 
+(* A one-tuple relation [name] whose rating cell holds [m]. *)
+let single name m =
+  let schema = Erm.Schema.rename_relation name schema in
+  Erm.Relation.of_tuples schema
+    [ Erm.Etuple.make schema ~key:[ V.string "k" ]
+        ~cells:[ Erm.Etuple.Definite (V.string "sf"); Erm.Etuple.Evidence m ]
+        ~tm:Dst.Support.certain ]
+
+let rating r =
+  match Erm.Relation.tuples r with
+  | [ t ] -> (
+      match Erm.Etuple.cells t with
+      | [ _; Erm.Etuple.Evidence m ] -> m
+      | _ -> Alcotest.fail "no rating cell")
+  | _ -> Alcotest.fail "expected one tuple"
+
+let pair a b = [ ("a", single "a" a); ("b", single "b" b) ]
+
+(* Run [q] on [ctx]: its result and the root union's memo (hits,
+   misses). *)
+let memo_run ctx env q =
+  let plan = Query.Physical.plan_optimized env (Query.Parser.parse q) in
+  let out, rep = Query.Physical.execute_measured ~ctx env plan in
+  let s = rep.Query.Physical.r_stats in
+  (out, (s.Query.Stats.cache_hits, s.Query.Stats.cache_misses))
+
+let check_memo what expected got =
+  Alcotest.(check (pair int int)) what expected got
+
 let cache_tests =
   [ Alcotest.test_case "cached combine equals plain combine" `Quick
       (fun () ->
-        let c = Dst.Combine_cache.create () in
         let a = ev [ ("ex", 0.6); ("gd", 0.4) ]
         and b = ev [ ("ex", 0.7); ("avg", 0.3) ] in
-        check "equal" true
-          (M.equal (M.combine a b) (Dst.Combine_cache.combine c a b));
-        check_int "one miss" 1 (Dst.Combine_cache.misses c);
-        ignore (Dst.Combine_cache.combine c a b);
-        check_int "then a hit" 1 (Dst.Combine_cache.hits c));
-    Alcotest.test_case "cache key is order-canonical" `Quick (fun () ->
-        let c = Dst.Combine_cache.create () in
+        let env = pair a b and ctx = Query.Physical.create_ctx () in
+        let cold, memo = memo_run ctx env "a UNION b" in
+        check "bit-equal to the plain combination" true
+          (M.compare (M.combine a b) (rating cold) = 0);
+        check_memo "one miss" (0, 1) memo;
+        let warm, memo = memo_run ctx env "a UNION b" in
+        check_memo "then a hit" (1, 0) memo;
+        check "the stored result" true (warm == cold));
+    Alcotest.test_case "operand order is part of the key" `Quick (fun () ->
         let a = ev [ ("ex", 0.6); ("gd", 0.4) ]
         and b = ev [ ("ex", 0.7); ("avg", 0.3) ] in
-        ignore (Dst.Combine_cache.combine c a b);
-        (* commutativity: the swapped pair is the same entry *)
-        ignore (Dst.Combine_cache.combine c b a);
-        check_int "hit on swap" 1 (Dst.Combine_cache.hits c);
-        check_int "single entry" 1 (Dst.Combine_cache.size c));
-    Alcotest.test_case "total conflict is cached too" `Quick (fun () ->
-        let c = Dst.Combine_cache.create () in
-        let a = ev [ ("ex", 1.0) ] and b = ev [ ("avg", 1.0) ] in
-        let boom () =
-          Alcotest.check_raises "kappa = 1" M.Total_conflict (fun () ->
-              ignore (Dst.Combine_cache.combine c a b))
+        let env = pair a b and ctx = Query.Physical.create_ctx () in
+        ignore (memo_run ctx env "a UNION b");
+        (* commutative, but not bit for bit: the swap is its own entry *)
+        let swapped, memo = memo_run ctx env "b UNION a" in
+        check_memo "swap misses" (0, 1) memo;
+        check "bits of the swapped order" true
+          (M.compare (M.combine b a) (rating swapped) = 0));
+    Alcotest.test_case "a raising union stores nothing" `Quick (fun () ->
+        let env = pair (ev [ ("ex", 1.0) ]) (ev [ ("avg", 1.0) ]) in
+        let ctx = Query.Physical.create_ctx () in
+        Obs.Metrics.reset ();
+        Obs.Metrics.enable ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Metrics.disable ();
+            Obs.Metrics.reset ())
+          (fun () ->
+            let boom () =
+              Alcotest.check_raises "kappa = 1" M.Total_conflict (fun () ->
+                  ignore (memo_run ctx env "a UNION b"))
+            in
+            boom ();
+            boom ();
+            check_int "derived twice" 2 (Obs.Metrics.counter "union_memo.miss");
+            check_int "never served" 0 (Obs.Metrics.counter "union_memo.hit")));
+    Alcotest.test_case "no hit across kappa0" `Quick (fun () ->
+        (* The memo keys each policy by Rule.policy_key: a different κ₀
+           misses, an equal policy value built afresh hits. κ = 0.58
+           here, so the two policies also give different results. *)
+        let env =
+          pair
+            (ev [ ("ex", 0.6); ("gd", 0.4) ])
+            (ev [ ("ex", 0.7); ("avg", 0.3) ])
         in
-        boom ();
-        boom ();
-        check_int "second raise from cache" 1 (Dst.Combine_cache.hits c)) ]
+        let policy kappa0 =
+          Dst.Rule.make
+            ~escalation:(Dst.Rule.escalate ~kappa0 Dst.Rule.Quarantine)
+            Dst.Rule.Dempster
+        in
+        let ctx = Query.Physical.create_ctx () in
+        let go p =
+          Dst.Rule.with_policy p (fun () -> memo_run ctx env "a UNION b")
+        in
+        let run p = snd (go p) in
+        let rows p = Erm.Relation.cardinal (fst (go p)) in
+        let p1 = policy 0.25 and p2 = policy 0.75 in
+        check_memo "first policy misses" (0, 1) (run p1);
+        check_memo "then hits" (1, 0) (run p1);
+        check_memo "another kappa0 misses" (0, 1) (run p2);
+        check_memo "first policy's entry kept" (1, 0) (run p1);
+        check_memo "second policy's entry" (1, 0) (run p2);
+        check_memo "an equal policy value hits" (1, 0) (run (policy 0.75));
+        check_int "quarantined under the first" 0 (rows p1);
+        check_int "combined under the second" 1 (rows p2)) ]
 
 let () =
   Alcotest.run "index"

@@ -4,9 +4,10 @@
      out in Source leaves — the stored tuples of the federated inputs;
    - the κ stored on a Dempster combination node equals
      Dst.Measures.conflict recomputed on the operands, bit-exactly;
-   - a Combine_cache hit adds no nodes within one arena lifetime and,
-     across arenas (warm cache, fresh store), reconstructs a lineage
-     structurally identical to the cold derivation;
+   - a union-memo hit adds no nodes within one arena lifetime and,
+     across arenas (warm memo, fresh store), the union is derived again
+     with a lineage structurally identical to the cold derivation, for
+     every rule policy; a hit never crosses policies;
    - the physical planner attaches the same evidence lineage as naive
      evaluation (value-digest keyed, so plan rewrites cannot hide);
    - the DOT and JSON exporters agree on node/edge counts and the DOT
@@ -98,115 +99,7 @@ let kappa_props =
               && n.P.kappa = Some k
               && Float.equal k (Dst.Measures.conflict a b))) ]
 
-(* --- cache-hit lineage ----------------------------------------------- *)
-
-let cache_props =
-  [ prop "within one arena a cache hit adds nothing and keeps the node"
-      seed_arb
-      (fun s ->
-        with_provenance (fun () ->
-          let a = gen_evidence s and b = gen_evidence (s + 1) in
-          let cache = Dst.Combine_cache.create () in
-          let m1 = Dst.Combine_cache.combine cache a b in
-          let id1 = P.find (M.digest m1) in
-          let before = P.count () in
-          let m2 = Dst.Combine_cache.combine cache a b in
-          let id2 = P.find (M.digest m2) in
-          Option.is_some id1 && id1 = id2 && P.count () = before));
-    prop "warm-cache lineage is identical to the cold derivation" seed_arb
-      (fun s ->
-        let a = gen_evidence s and b = gen_evidence (s + 1) in
-        let cache = Dst.Combine_cache.create () in
-        let leg () =
-          with_provenance (fun () ->
-            let m = Dst.Combine_cache.combine cache a b in
-            match P.find (M.digest m) with
-            | Some id -> Some (W.tree id)
-            | None -> None)
-        in
-        let cold = leg () in
-        (* same pair again: the cache is warm but the arena is fresh *)
-        let warm = leg () in
-        match (cold, warm) with
-        | Some t1, Some t2 -> W.equal t1 t2
-        | _ -> false) ]
-
-(* --- policy-keyed cache ---------------------------------------------- *)
-
-(* The cache key includes Rule.policy_key: the same operand pair under a
-   different rule or κ-threshold is a different entry, never a cross-rule
-   hit — and for every policy the warm-hit lineage (relink) must be
-   indistinguishable from the cold derivation. *)
-
-let policies_under_test =
-  List.map Dst.Rule.make
-    (Dst.Rule.all
-    @ [ Dst.Rule.discount_then_combine 0.9;
-        Dst.Rule.discount_then_combine 0.5 ])
-  @ [ Dst.Rule.make
-        ~escalation:
-          (Dst.Rule.escalate ~kappa0:0.0 (Dst.Rule.Fallback Dst.Rule.Yager))
-        Dst.Rule.Dempster ]
-
-let outcome_equal o1 o2 =
-  match (o1, o2) with
-  | ( M.Combined { result = r1; kappa = k1; rule = u1; escalated = e1 },
-      M.Combined { result = r2; kappa = k2; rule = u2; escalated = e2 } ) ->
-      M.compare r1 r2 = 0 && Float.equal k1 k2 && Dst.Rule.equal u1 u2
-      && e1 = e2
-  | M.Quarantined { kappa = k1 }, M.Quarantined { kappa = k2 } ->
-      Float.equal k1 k2
-  | M.Conflicted, M.Conflicted -> true
-  | _ -> false
-
-let rule_cache_props =
-  [ prop "a hit never crosses policies; within one it always hits"
-      seed_arb
-      (fun s ->
-        let a = gen_evidence s and b = gen_evidence (s + 1) in
-        let cache = Dst.Combine_cache.create () in
-        List.for_all
-          (fun policy ->
-            (* The pair is already cached under every previous policy;
-               this policy must still start with a miss. *)
-            let misses = Dst.Combine_cache.misses cache in
-            let hits = Dst.Combine_cache.hits cache in
-            let o1 = Dst.Combine_cache.combine_policy ~policy cache a b in
-            let o2 = Dst.Combine_cache.combine_policy ~policy cache a b in
-            Dst.Combine_cache.misses cache = misses + 1
-            && Dst.Combine_cache.hits cache = hits + 1
-            && outcome_equal o1 o2
-            && outcome_equal o1 (M.combine_policy ~policy a b))
-          policies_under_test);
-    prop "warm-hit lineage = cold derivation for every policy" ~count:50
-      seed_arb
-      (fun s ->
-        let a = gen_evidence s and b = gen_evidence (s + 1) in
-        List.for_all
-          (fun policy ->
-            let cache = Dst.Combine_cache.create () in
-            let leg () =
-              with_provenance (fun () ->
-                match
-                  Dst.Combine_cache.combine_policy ~policy cache a b
-                with
-                | M.Combined { result; _ } -> (
-                    match P.find (M.digest result) with
-                    | Some id -> Some (W.tree id)
-                    | None -> None)
-                | M.Quarantined _ | M.Conflicted -> None)
-            in
-            let cold = leg () in
-            (* warm cache, fresh arena: the hit path relinks *)
-            let warm = leg () in
-            match (cold, warm) with
-            | Some t1, Some t2 -> W.equal t1 t2
-            | _ -> false)
-          policies_under_test) ]
-
-(* --- plan invariance ------------------------------------------------- *)
-
-let ctx = Query.Physical.create_ctx ()
+(* --- evidence lineage of a result ------------------------------------ *)
 
 module Smap = Map.Make (String)
 
@@ -225,6 +118,115 @@ let evidence_lineage r =
              | Erm.Etuple.Definite _ -> acc)
            acc (Erm.Etuple.cells t))
        Smap.empty
+
+(* --- union-memo lineage ----------------------------------------------- *)
+
+let union_env s =
+  let ra, rb = G.source_pair (R.create s) ~size:10 ~overlap:0.6 schema in
+  [ ("ra", ra); ("rb", rb) ]
+
+(* [ra UNION rb] on [ctx]: the result, and whether the memo served it. *)
+let run_union ctx env =
+  let plan = Query.Physical.plan_optimized env
+      (Query.Ast.Union (Query.Ast.Rel "ra", Query.Ast.Rel "rb")) in
+  let out, rep = Query.Physical.execute_measured ~ctx env plan in
+  (out, rep.Query.Physical.r_stats.Query.Stats.cache_hits = 1)
+
+let cache_props =
+  [ prop "within one arena a cache hit adds nothing and keeps the node"
+      seed_arb
+      (fun s ->
+        with_provenance (fun () ->
+          let env = union_env s and ctx = Query.Physical.create_ctx () in
+          let r1, hit1 = run_union ctx env in
+          let l1 = evidence_lineage r1 in
+          let before = P.count () in
+          let r2, hit2 = run_union ctx env in
+          (not hit1) && hit2 && r2 == r1
+          && P.count () = before
+          && (not (Smap.is_empty l1))
+          && Smap.equal W.equal l1 (evidence_lineage r2)));
+    prop "warm-cache lineage is identical to the cold derivation" seed_arb
+      (fun s ->
+        let env = union_env s and ctx = Query.Physical.create_ctx () in
+        let leg () =
+          with_provenance (fun () ->
+            let r, hit = run_union ctx env in
+            (evidence_lineage r, hit))
+        in
+        let cold, _ = leg () in
+        (* same union again: the memo is warm but the arena is fresh, so
+           the union is derived again *)
+        let warm, hit = leg () in
+        (not hit) && (not (Smap.is_empty cold)) && Smap.equal W.equal cold warm)
+  ]
+
+(* --- policy-keyed memo ----------------------------------------------- *)
+
+(* The memo key includes Rule.policy_key: the same operands under a
+   different rule or κ-threshold are a different entry, never a
+   cross-rule hit — and for every policy the lineage after an arena
+   reset must be indistinguishable from the cold derivation. *)
+
+let policies_under_test =
+  List.map Dst.Rule.make
+    (Dst.Rule.all
+    @ [ Dst.Rule.discount_then_combine 0.9;
+        Dst.Rule.discount_then_combine 0.5 ])
+  @ [ Dst.Rule.make
+        ~escalation:
+          (Dst.Rule.escalate ~kappa0:0.0 (Dst.Rule.Fallback Dst.Rule.Yager))
+        Dst.Rule.Dempster ]
+
+let rule_cache_props =
+  [ prop "a hit never crosses policies; within one it always hits"
+      seed_arb
+      (fun s ->
+        let env = union_env s and ctx = Query.Physical.create_ctx () in
+        let ra = List.assoc "ra" env and rb = List.assoc "rb" env in
+        (* The session rule switches between runs on one context: each
+           policy's first run misses although the operands are memoized
+           under every earlier policy; its second run, and a second pass
+           over all policies, hit that policy's own result. *)
+        let first =
+          List.map
+            (fun policy ->
+              Dst.Rule.with_policy policy (fun () ->
+                  let r1, hit1 = run_union ctx env in
+                  let r2, hit2 = run_union ctx env in
+                  ( r1,
+                    (not hit1) && hit2 && r2 == r1
+                    && Erm.Relation.equal r1 (Erm.Ops.union ~policy ra rb) )))
+            policies_under_test
+        in
+        List.for_all snd first
+        && List.for_all2
+             (fun policy (r1, _) ->
+               Dst.Rule.with_policy policy (fun () ->
+                   let r, hit = run_union ctx env in
+                   hit && r == r1))
+             policies_under_test first);
+    prop "warm-hit lineage = cold derivation for every policy" ~count:50
+      seed_arb
+      (fun s ->
+        let env = union_env s in
+        List.for_all
+          (fun policy ->
+            let ctx = Query.Physical.create_ctx () in
+            let leg () =
+              with_provenance (fun () ->
+                Dst.Rule.with_policy policy (fun () ->
+                    evidence_lineage (fst (run_union ctx env))))
+            in
+            let cold = leg () in
+            (* warm memo, fresh arena: the union is derived again *)
+            let warm = leg () in
+            (not (Smap.is_empty cold)) && Smap.equal W.equal cold warm)
+          policies_under_test) ]
+
+(* --- plan invariance ------------------------------------------------- *)
+
+let ctx = Query.Physical.create_ctx ()
 
 let plan_props =
   [ prop "physical evidence lineage = naive evidence lineage" ~count:100

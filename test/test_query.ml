@@ -455,8 +455,8 @@ let test_analyze_reports_stats () =
   Alcotest.(check int) "two children" 2
     (List.length rep.Query.Physical.r_children);
   let misses = rep.Query.Physical.r_stats.Query.Stats.cache_misses in
-  Alcotest.(check bool) "first run misses the memo-cache" true (misses > 0);
-  (* Same union again through the same ctx: all combinations replay. *)
+  Alcotest.(check bool) "first run misses the union memo" true (misses > 0);
+  (* Same union again through the same ctx: served by the memo. *)
   let _, rep2 = Query.Explain.analyze ~ctx env q in
   Alcotest.(check int) "second run fully memoized" misses
     rep2.Query.Physical.r_stats.Query.Stats.cache_hits;
