@@ -56,7 +56,14 @@ val of_string : Domain.t -> string -> t
     outside the domain). *)
 
 val to_string : t -> string
-(** Inverse of {!of_string} (modulo float formatting). *)
+(** The paper notation for display, in {!of_string}'s grammar. Masses
+    print with [%g], six significant digits, so this is {e not} an
+    inverse of {!of_string}: the rounded masses need not sum to 1
+    within the 1e-9 tolerance, and on ordinary cells they do not —
+    [[a^1/3; b^1/3; c^1/3]] prints as three masses of 0.333333, so
+    [of_string f (to_string m)] raises [Invalid_mass]. For an exact
+    round trip, write cells with [Erm.Io.to_string] (or
+    [Erm.Io.tuple_to_string]), which print masses losslessly. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -59,7 +59,6 @@ module type S = sig
   val max_pls : t -> Value.t
   val equal : t -> t -> bool
   val compare : t -> t -> int
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
   val digest : t -> string
@@ -175,7 +174,8 @@ module Make (N : Num.S) : S with type num = N.t = struct
     let total = sum_masses tb in
     if not (N.equal total N.one) then
       raise
-        (Invalid_mass (Format.asprintf "masses sum to %a, not 1" N.pp total))
+        (Invalid_mass
+           (Printf.sprintf "masses sum to %.12g, not 1" (N.to_float total)))
     else freeze frame tb
 
   let make frame entries =
@@ -765,16 +765,6 @@ module Make (N : Num.S) : S with type num = N.t = struct
             if c <> 0 then c else go (k + 1)
       in
       go 0
-
-  (* Agrees with [compare]: equal frames have equal sizes (names are not
-     hashed, as [Domain.compare] ignores them), and equal assignments
-     have equal mask and mass arrays, both exactly [count] sets long.
-     [Hashtbl.hash] reads the arrays in place and maps -0.0 and every
-     NaN alike, as [Float.compare] does; nothing is allocated. *)
-  let hash m =
-    let h = Domain.size m.frame in
-    let h = (h * 65599) + Hashtbl.hash m.sets in
-    ((h * 65599) + Hashtbl.hash m.masses) land max_int
 end
 
 module F = Make (Num.Float)

@@ -267,11 +267,6 @@ module type S = sig
       the float instance: two functions within tolerance but not
       bit-equal compare as different. *)
 
-  val hash : t -> int
-  (** A hash consistent with {!compare}: [compare a b = 0] implies
-      [hash a = hash b]. Reads the frame's size (never its name), the
-      focal masks and the masses; allocates nothing. *)
-
   val pp : Format.formatter -> t -> unit
   (** Paper notation: [[si^0.5; {hu, si}^0.33; ~^0.17]] where [~]
       denotes Ω. *)

@@ -89,6 +89,22 @@ let merge f schema a b =
   let pairs = Kmap.merge (fun _ x y -> Some (x, y)) a.tuples b.tuples in
   { schema; tuples = Kmap.filter_map (fun k (x, y) -> keep k (f x y)) pairs }
 
+let split r key =
+  let lo, at, hi = Kmap.split key r.tuples in
+  let hi = match at with Some t -> Kmap.add key t hi | None -> hi in
+  ({ r with tuples = lo }, { r with tuples = hi })
+
+(* Once the seam is checked the operands are range-disjoint, so the
+   structural union only splits along the spines that meet at the seam
+   and never consults its function. *)
+let append a b =
+  match (Kmap.max_binding_opt a.tuples, Kmap.min_binding_opt b.tuples) with
+  | None, _ -> { a with tuples = b.tuples }
+  | _, None -> a
+  | Some (last, _), Some (first, _) ->
+      if Key.compare last first >= 0 then raise (Duplicate_key first);
+      { a with tuples = Kmap.union (fun _ x _ -> Some x) a.tuples b.tuples }
+
 let disjoint_union a b =
   { a with
     tuples = Kmap.union (fun k _ _ -> raise (Duplicate_key k)) a.tuples b.tuples

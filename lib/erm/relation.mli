@@ -87,9 +87,26 @@ val merge :
     and the result is built in the same ascending pass that calls [f].
     @raise Relation_error if a kept tuple's key differs from its key. *)
 
+val split : t -> Dst.Value.t list -> t * t
+(** [split r key] cuts [r] at [key] into the tuples whose keys sort
+    below [key] and those whose keys sort at or above it, both under
+    [r]'s schema. [key] need not be bound in [r]. O(log n): the two
+    halves share the key-ordered map's subtrees. *)
+
+val append : t -> t -> t
+(** [append a b] is the ordered concatenation of two relations whose
+    key ranges do not meet: every key of [a] sorts below every key of
+    [b]. The result carries [a]'s schema, and either operand may be
+    empty. Nothing is re-inserted: after an O(log n) check of the seam,
+    the structural union of range-disjoint maps only walks the spines
+    that meet there, O(log² n) in all.
+    @raise Duplicate_key with [b]'s first key when it does not sort
+    above [a]'s last key: the operands overlap or are out of order. *)
+
 val disjoint_union : t -> t -> t
-(** The union of two relations with disjoint keys, under the first's
-    schema, built structurally rather than by re-inserting.
+(** The union of two relations with disjoint, possibly interleaved
+    keys, under the first's schema, built structurally rather than by
+    re-inserting.
     @raise Duplicate_key if a key is bound in both. *)
 
 val equal : t -> t -> bool

@@ -94,10 +94,6 @@ let shard_event kind fields msg =
       ~fields:(("op", "exec.integrate") :: fields)
       kind (msg ^ " exec.integrate")
 
-let by_conflict_key c1 c2 =
-  List.compare Dst.Value.compare c1.Erm.Ops.conflict_key
-    c2.Erm.Ops.conflict_key
-
 let integrate_inner ?policy ?discount ?alpha_floor ?prior
     ?(sharded = { Query.Physical.shards = 1; domains = 1 }) sources =
   (* Knob validation precedes any observable work (provenance
@@ -142,11 +138,17 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior
           d
         end
       in
-      (* Partitions are lazy so that one inline shard discounts each
-         source inside its own absorption step, as the provenance
-         ranges require; several shards force them all before the
-         fan-out. *)
-      let parts s = lazy (Query.Shard.by_key ~shards (prepared s)) in
+      (* Every source is cut at the same pivots, so shard i covers one
+         key range of all of them; discounting keeps keys, so the
+         pivots come from the sources as given. Partitions are lazy so
+         that one inline shard discounts each source inside its own
+         absorption step, as the provenance ranges require; several
+         shards force them all before the fan-out. *)
+      let pivots =
+        Query.Shard.pivots ~shards
+          (List.map (fun s -> s.source_relation) sources)
+      in
+      let parts s = lazy (Query.Shard.cut ~shards pivots (prepared s)) in
       let first_parts = parts first in
       let rest_parts = List.map (fun s -> (s.source_name, parts s)) rest in
       (* Each shard folds its slice of every source, left to right, and
@@ -190,16 +192,15 @@ let integrate_inner ?policy ?discount ?alpha_floor ?prior
           shard_event Obs.Log.Shard_merge
             [ ("rows", string_of_int (Erm.Relation.cardinal integrated)) ]
             "merged";
-          (* All conflicts of one key live in one shard and each
-             shard's list ascends by key, so a stable sort of the
-             concatenation reproduces the unsharded order. *)
+          (* Each shard's lists ascend by key within its key range, so
+             concatenating them in shard order is the unsharded order. *)
           let per_source =
             Array.fold_right
               (fun (_, css) acc -> List.map2 ( @ ) css acc)
               results
               (List.map (fun _ -> []) rest_parts)
           in
-          (integrated, List.map (List.stable_sort by_conflict_key) per_source)
+          (integrated, per_source)
         end
       in
       (* Grouped by source in absorption order, ascending key within a

@@ -52,7 +52,8 @@ val integrate :
     defaults leave historical behaviour bit-for-bit unchanged.
 
     [?sharded] (default one shard, one domain) partitions the
-    absorption folds by key ({!Query.Shard.by_key}) and runs them
+    absorption folds into key ranges, cutting every source at the
+    pivots of the largest one ({!Query.Shard.pivots}), and runs them
     through {!Query.Pool}, as {!Query.Physical.execute} does for
     operators. The conflict matrix and reliabilities stay global and
     sources are discounted whole, so the report — relation, conflict

@@ -392,8 +392,10 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
      back in shard order, for the caller to sum after the barrier. One
      shard runs [body 0] inline, with no merge and no exec.* telemetry.
      The pool forks a telemetry buffer per shard and merges them in
-     shard order, so recordings are identical at every worker count. *)
-  let fan_out_tallied op partition body =
+     shard order, so recordings are identical at every worker count.
+     Key-range shards concatenate back in order; [merge] differs only
+     for the join-value shards of a hash join. *)
+  let fan_out_tallied ?(merge = Shard.merge) op partition body =
     if shards = 1 then
       let out, tally = body 0 (partition ()) in
       (out, [| tally |])
@@ -409,7 +411,7 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
         in
         let parts = Array.map fst outs in
         note_shard_rows parts;
-        let out = Shard.merge parts in
+        let out = merge parts in
         event Obs.Log.Shard_merge op
           [ ("rows", string_of_int (Erm.Relation.cardinal out)) ]
           "merged";
@@ -425,7 +427,7 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
     fst (fan_out_tallied op partition (fun i inputs -> (body i inputs, ())))
   in
   let by_key r () = Shard.by_key ~shards r in
-  let by_keys ra rb () = (Shard.by_key ~shards ra, Shard.by_key ~shards rb) in
+  let by_keys ra rb () = Shard.by_keys ~shards ra rb in
   let card = Erm.Relation.cardinal in
   let rec exec p =
     if Obs.Trace.on () then
@@ -512,7 +514,7 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
         let pred = Eval.bind_pred (lookup_two sa sb) residual in
         let out, tallies =
           timed (fun () ->
-              fan_out_tallied "hash-join"
+              fan_out_tallied ~merge:Shard.merge_values "hash-join"
                 (fun () ->
                   (* Partition both sides by the join value: equal values —
                      the only pairs the equi-join keeps — share a shard. *)
@@ -544,7 +546,8 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
         let sa = Erm.Relation.schema ra and sb = Erm.Relation.schema rb in
         let pred = Eval.bind_pred (lookup_two sa sb) on in
         (* Left-only partition, right replicated: each output tuple's key
-           embeds its left tuple's key, so outputs stay disjoint. *)
+           starts with its left tuple's key, so each shard's outputs stay
+           inside its left key range. *)
         let out =
           timed (fun () ->
               fan_out "loop-join" (by_key ra) (fun i parts ->

@@ -19,8 +19,9 @@
 
     Every operator that can be partitioned runs as [shards] independent
     sub-evaluations over a content-addressed partition of its inputs
-    ({!Shard}), through the deterministic task {!Pool}, folded back by
-    the canonical {!Shard.merge}. One shard is the same code with the
+    ({!Shard}: key ranges, or join values for a hash join), through the
+    deterministic task {!Pool}, folded back in shard order by
+    {!Shard.merge} ({!Shard.merge_values} for a hash join). One shard is the same code with the
     partition [[|r|]], the body called inline and no merge. The result
     is bit-identical for every shard and worker count: the planner's
     fast paths are property-tested against the naive {!Eval} pipeline

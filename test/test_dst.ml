@@ -597,56 +597,6 @@ let test_combine_allocation () =
           size words bound)
     [ (8, 285. *. 1.25); (70, 331. *. 1.25) ]
 
-(* --- Mass.S.hash -------------------------------------------------- *)
-
-(* [compare a b = 0] must imply equal hashes, or a hash table keyed on
-   masses would file one value under two buckets. Equal masses are
-   built here the ways the library builds them apart: from permuted
-   entry lists, over frames with the same values under different names,
-   and over two-word frames. *)
-let hash_prop name law =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name ~count:300 (QCheck.int_range 0 1_000_000) law)
-
-let hash_frames =
-  [ (Workload.Gen.domain ~size:8 "h", Workload.Gen.domain ~size:8 "h-renamed");
-    (frame70, Workload.Gen.domain ~size:70 "wide-renamed") ]
-
-let equal_pair seed =
-  let rng = Workload.Rng.create seed in
-  let d, d' = Workload.Rng.pick rng hash_frames in
-  let m = Workload.Gen.evidence rng ~focals:5 ~max_focal_size:4 d in
-  let m' = M.make d' (Workload.Rng.shuffle rng (M.focals m)) in
-  (m, m')
-
-let hash_props =
-  [ hash_prop "hash agrees with compare on rebuilt equal masses" (fun s ->
-        let m, m' = equal_pair s in
-        M.compare m m' = 0 && M.hash m = M.hash m');
-    hash_prop "compare = 0 implies equal hashes on colliding draws"
-      (fun s ->
-        (* Two focal sets out of three, with one of two splits: equal
-           draws are common, and each frame pair has a renamed twin. *)
-        let rng = Workload.Rng.create s in
-        let d, d' = Workload.Rng.pick rng hash_frames in
-        let draw dom =
-          let v i = Vs.singleton (D.value dom i) in
-          let sets = [ v 0; v 1; Vs.union (v 0) (v 1) ] in
-          let w = Workload.Rng.pick rng [ 0.25; 0.5 ] in
-          match Workload.Rng.sample rng 2 sets with
-          | [ x; y ] -> M.make dom [ (x, w); (y, 1.0 -. w) ]
-          | _ -> assert false
-        in
-        let m = draw d and m' = draw (if Workload.Rng.bool rng then d else d') in
-        M.compare m m' <> 0 || M.hash m = M.hash m') ]
-
-let test_hash_allocates_nothing () =
-  let ms = List.init 100 (fun i -> fst (equal_pair i)) in
-  let before = Gc.minor_words () in
-  List.iter (fun m -> ignore (Sys.opaque_identity (M.hash m))) ms;
-  let words = Gc.minor_words () -. before in
-  if words > 10. then Alcotest.failf "%.0f minor words for 100 hashes" words
-
 let () =
   Alcotest.run "dst"
     [ ( "value",
@@ -701,8 +651,4 @@ let () =
             test_measures_dissonance;
           Alcotest.test_case "pignistic distance" `Quick
             test_measures_distance ] );
-      ( "mass-hash",
-        hash_props
-        @ [ Alcotest.test_case "hash allocates nothing" `Quick
-              test_hash_allocates_nothing ] );
       ("metamorphic", metamorphic_props) ]

@@ -4,7 +4,10 @@
    - Pool: results indexed by task, lowest-index exception wins, worker
      counts beyond the core count are fine (CI runs on 1 core — every
      count here must pass there);
-   - Shard: partitions are deterministic disjoint covers;
+   - Shard: partitions are deterministic disjoint covers; key
+     partitions are balanced ascending key ranges, cut at pivots shared
+     by every operand and merged in order, and skewed operands give the
+     inline result;
    - Physical ~sharded: for a fixed query and seed, the rendered result
      is byte-identical for every worker count (and, over frames above
      62 values, bit-identical to Query.Eval); metrics rollups (under a
@@ -101,10 +104,26 @@ let pool_edges () =
 
 (* --- shard ----------------------------------------------------------- *)
 
+let keys r = List.map Erm.Etuple.key (Erm.Relation.tuples r)
+let key_lt a b = List.compare Dst.Value.compare a b < 0
+
+(* The tuples of [r] below its [n]th key. *)
+let first n r = fst (Erm.Relation.split r (List.nth (keys r) n))
+
+(* The shard index holding [key], if any. *)
+let home parts key =
+  let rec go i =
+    if i = Array.length parts then None
+    else if Erm.Relation.mem parts.(i) key then Some i
+    else go (i + 1)
+  in
+  go 0
+
 let shard_disjoint_cover () =
   let rel = G.relation (R.create 11) ~size:100 Q.schema in
   List.iter
     (fun shards ->
+      let pivots = Query.Shard.pivots ~shards [ rel ] in
       let parts = Query.Shard.by_key ~shards rel in
       Alcotest.(check int)
         (Printf.sprintf "%d shards" shards)
@@ -123,22 +142,111 @@ let shard_disjoint_cover () =
             |> List.filter (fun p -> Erm.Relation.mem p key)
           in
           Alcotest.(check int) "exactly one shard holds each key" 1
-            (List.length holders);
-          let home = Query.Shard.index ~shards (Erm.Lineage.key_string t) in
-          Alcotest.(check bool) "the key's digest picks its shard" true
-            (Erm.Relation.mem parts.(home) key))
+            (List.length holders))
         rel;
+      Alcotest.(check int) "shards - 1 pivots" (shards - 1)
+        (Array.length pivots);
+      (* Shard i holds exactly the keys in [pivot_{i-1}, pivot_i). *)
+      Array.iteri
+        (fun i part ->
+          let in_range k =
+            (i = 0 || not (key_lt k pivots.(i - 1)))
+            && (i = shards - 1 || key_lt k pivots.(i))
+          in
+          Alcotest.(check (list (list string)))
+            (Printf.sprintf "shard %d is its pivot range" i)
+            (List.map (List.map Dst.Value.to_string)
+               (List.filter in_range (keys rel)))
+            (List.map (List.map Dst.Value.to_string) (keys part)))
+        parts;
+      Alcotest.(check bool) "shards ascend" true
+        (List.concat_map keys (Array.to_list parts) = keys rel);
       Alcotest.(check bool) "merge restores the relation" true
         (Erm.Relation.equal rel (Query.Shard.merge parts)))
     [ 1; 3; 8 ]
 
+(* A unary cut takes its own key quantiles: shard sizes differ by at
+   most one, also with fewer tuples than shards. *)
+let shard_balanced () =
+  List.iter
+    (fun size ->
+      let rel = G.relation (R.create (17 + size)) ~size Q.schema in
+      List.iter
+        (fun shards ->
+          let sizes =
+            Array.map Erm.Relation.cardinal (Query.Shard.by_key ~shards rel)
+          in
+          let lo = Array.fold_left min max_int sizes
+          and hi = Array.fold_left max 0 sizes in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d tuples, %d shards: sizes within 1" size shards)
+            true
+            (hi - lo <= 1))
+        [ 1; 2; 3; 5; 8 ])
+    [ 0; 1; 2; 7; 8; 9; 100 ]
+
+(* Every operand of one fan-out is cut at the largest one's pivots
+   (the first on a tie), so a key bound in several operands lands at
+   the same shard index in each. *)
+let shard_shared_pivots () =
+  let ra, rb =
+    G.source_pair (R.create 21) ~size:60 ~overlap:0.5 Q.schema
+  in
+  let small = first 20 rb in
+  let same_home name operands parts =
+    List.iter
+      (fun k ->
+        let homes =
+          List.filter_map
+            (fun (r, p) -> if Erm.Relation.mem r k then home p k else None)
+            (List.combine operands parts)
+        in
+        match homes with
+        | [] -> ()
+        | h :: rest ->
+            Alcotest.(check (list int))
+              (name ^ ": a shared key has one shard index")
+              (List.map (fun _ -> h) rest)
+              rest)
+      (List.concat_map keys operands)
+  in
+  List.iter
+    (fun shards ->
+      let pa, pb = Query.Shard.by_keys ~shards small ra in
+      Alcotest.(check bool) "the larger right operand sets the pivots" true
+        (Query.Shard.pivots ~shards [ small; ra ]
+         = Query.Shard.pivots ~shards [ ra ]);
+      Alcotest.(check bool) "a tie takes the left operand's pivots" true
+        (Query.Shard.pivots ~shards [ ra; rb ]
+         = Query.Shard.pivots ~shards [ ra ]);
+      same_home "binary" [ small; ra ] [ pa; pb ];
+      let rc = G.reobserve (R.create 22) ra in
+      let sources = [ small; rb; rc ] in
+      let pivots = Query.Shard.pivots ~shards sources in
+      same_home "sources" sources
+        (List.map (Query.Shard.cut ~shards pivots) sources))
+    [ 2; 3; 8 ]
+
 let shard_merge_overlap () =
   let rel = G.relation (R.create 13) ~size:20 Q.schema in
   let parts = Query.Shard.by_key ~shards:2 rel in
-  Alcotest.(check bool) "a key in two shards raises Duplicate_key" true
-    (match Query.Shard.merge [| parts.(0); parts.(1); parts.(0) |] with
-    | _ -> false
-    | exception Erm.Relation.Duplicate_key _ -> true)
+  let raises name arr =
+    Alcotest.(check bool) name true
+      (match Query.Shard.merge arr with
+      | _ -> false
+      | exception Erm.Relation.Duplicate_key _ -> true)
+  in
+  raises "a key in two shards raises Duplicate_key"
+    [| parts.(0); parts.(1); parts.(0) |];
+  raises "shards out of order raise Duplicate_key" [| parts.(1); parts.(0) |];
+  let drop parity =
+    List.fold_left Erm.Relation.remove rel
+      (List.filteri (fun i _ -> i mod 2 = parity) (keys rel))
+  in
+  let evens = drop 1 and odds = drop 0 in
+  raises "interleaved key ranges raise Duplicate_key" [| evens; odds |];
+  Alcotest.(check bool) "merge_values unions interleaved shards" true
+    (Erm.Relation.equal rel (Query.Shard.merge_values [| evens; odds |]))
 
 let shard_deterministic () =
   let rel = G.relation (R.create 12) ~size:60 Q.schema in
@@ -148,6 +256,108 @@ let shard_deterministic () =
   Alcotest.(check string) "same partition on re-run"
     (show (Query.Shard.by_key ~shards:5 rel))
     (show (Query.Shard.by_key ~shards:5 rel))
+
+(* Skewed operands against inline execution: one operand's keys all
+   sort below the other's, one operand is empty, or there are more
+   shards than tuples. The larger operand sets the pivots, so the other
+   one crowds into a few shards or none. *)
+let below_and_above r =
+  let ks = keys r in
+  if ks = [] then (r, r)
+  else Erm.Relation.split r (List.nth ks (List.length ks / 2))
+
+let skewed_pairs () =
+  let ra, rb = G.source_pair (R.create 31) ~size:40 ~overlap:0.6 Q.schema in
+  let lo, _ = below_and_above ra and _, hi = below_and_above rb in
+  let empty = Erm.Relation.empty (Erm.Relation.schema ra) in
+  [ ("left below right", lo, hi);
+    ("right below left", hi, lo);
+    ("lower half against the whole", lo, rb);
+    ("left empty", empty, rb);
+    ("right empty", ra, empty);
+    ("both empty", empty, empty);
+    ("more shards than tuples", first 2 ra, first 3 rb) ]
+
+let skewed_operators_match_inline () =
+  let ops =
+    [ ("union", fun a b -> Query.Ast.Union (a, b));
+      ("intersect", fun a b -> Query.Ast.Intersect (a, b));
+      ("except", fun a b -> Query.Ast.Except (a, b)) ]
+  in
+  List.iter
+    (fun (case, left, right) ->
+      let env = [ ("ra", left); ("rb", right) ] in
+      List.iter
+        (fun (op, make) ->
+          let q = make (Query.Ast.Rel "ra") (Query.Ast.Rel "rb") in
+          let inline = P.eval_fast ~ctx:(P.create_ctx ()) env q in
+          List.iter
+            (fun shards ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s, %d shards" case op shards)
+                (render inline)
+                (render
+                   (P.eval_fast ~ctx:(P.create_ctx ())
+                      ~sharded:(sharded shards 2) env q)))
+            [ 2; 3; 8 ])
+        ops)
+    (skewed_pairs ())
+
+(* Quarantined Zadeh and near-total-conflict rows make every absorbed
+   source report conflicts; the sharded report must list them as the
+   one-shard run does, by source and then by ascending key. *)
+let skewed_integrate_matches_inline () =
+  let dom = G.domain ~size:5 "skew_scenario" in
+  let za, zb =
+    Workload.Scenario.source_pair (R.create 41) ~rows:24
+      Workload.Scenario.Zadeh dom
+  in
+  let nt, _ =
+    Workload.Scenario.source_pair (R.create 42) ~rows:24
+      Workload.Scenario.Near_total dom
+  in
+  let lo, _ = below_and_above za and _, hi = below_and_above nt in
+  let empty = Erm.Relation.empty (Erm.Relation.schema za) in
+  let cases =
+    [ ("first source below the rest", [ lo; zb; hi ]);
+      ("last source below the rest", [ zb; hi; lo ]);
+      ("an empty source", [ za; empty; nt ]);
+      ("more shards than tuples", [ first 2 za; first 3 zb; first 1 nt ]) ]
+  in
+  let quarantine =
+    Dst.Rule.make
+      ~escalation:(Dst.Rule.escalate ~kappa0:0.5 Dst.Rule.Quarantine)
+      Dst.Rule.Dempster
+  in
+  let sources_of rels =
+    List.mapi
+      (fun i r ->
+        { Integration.Multi.source_name = Printf.sprintf "s%d" i;
+          source_relation = r })
+      rels
+  in
+  Dst.Rule.with_policy quarantine (fun () ->
+      Alcotest.(check bool) "the skewed sources report conflicts" true
+        ((Integration.Multi.integrate (sources_of [ lo; zb; hi ]))
+           .Integration.Multi.conflicts <> []);
+      List.iter
+        (fun (case, rels) ->
+          let sources = sources_of rels in
+          let inline = Integration.Multi.integrate sources in
+          List.iter
+            (fun shards ->
+              let out =
+                Integration.Multi.integrate ~sharded:(sharded shards 2) sources
+              in
+              let name = Printf.sprintf "%s, %d shards" case shards in
+              Alcotest.(check bool) (name ^ ": relation") true
+                (Exact.rel_equal inline.Integration.Multi.integrated
+                   out.Integration.Multi.integrated);
+              Alcotest.(check bool) (name ^ ": conflicts in order") true
+                (inline.Integration.Multi.conflicts
+                = out.Integration.Multi.conflicts))
+            [ 2; 3; 8 ])
+        cases)
 
 (* --- engine: worker-count and shard-count independence --------------- *)
 
@@ -734,7 +944,13 @@ let () =
       ( "shard",
         [ Alcotest.test_case "disjoint cover" `Quick shard_disjoint_cover;
           Alcotest.test_case "deterministic" `Quick shard_deterministic;
-          Alcotest.test_case "merge overlap raises" `Quick shard_merge_overlap ] );
+          Alcotest.test_case "merge overlap raises" `Quick shard_merge_overlap;
+          Alcotest.test_case "unary cuts are balanced" `Quick shard_balanced;
+          Alcotest.test_case "operands share pivots" `Quick shard_shared_pivots;
+          Alcotest.test_case "skewed set operations = inline" `Quick
+            skewed_operators_match_inline;
+          Alcotest.test_case "skewed integrate = inline" `Quick
+            skewed_integrate_matches_inline ] );
       ( "determinism",
         [ Alcotest.test_case "results byte-identical across worker counts"
             `Quick results_byte_identical;

@@ -51,6 +51,20 @@ let expect_error_at expected_line input =
   | exception Erm.Io.Io_error { line; _ } ->
       Alcotest.(check int) "error line number" expected_line line
 
+(* The sum prints with twelve significant digits, as the linter's E009
+   does: six would round 0.9999999 to 1 and contradict the "not 1". *)
+let test_mass_sum_message () =
+  match
+    Erm.Io.relations_of_string
+      "relation r\nkey k : string\nattr e : evidence {a, b}\ntuple x | \
+       [a^0.3333333; b^0.6666666] | (1, 1)\n"
+  with
+  | _ -> Alcotest.fail "a sum of 0.9999999 should be rejected"
+  | exception Erm.Io.Io_error { line; col; message } ->
+      Alcotest.(check (pair int int)) "position" (4, 11) (line, col);
+      Alcotest.(check string) "message"
+        "bad evidence for e: masses sum to 0.9999999, not 1" message
+
 let test_error_lines () =
   expect_error_at 1 "tuple a | b\n";
   (* directive before relation *)
@@ -425,6 +439,8 @@ let () =
           Alcotest.test_case "multiple relations" `Quick
             test_multiple_relations;
           Alcotest.test_case "error line numbers" `Quick test_error_lines;
+          Alcotest.test_case "mass sum printed to 12 digits" `Quick
+            test_mass_sum_message;
           Alcotest.test_case "bad quoted literals are Io_errors" `Quick
             test_bad_literals;
           Alcotest.test_case "CWA enforced on load" `Quick test_cwa_on_load ]
