@@ -110,8 +110,6 @@ let strict =
     | Some ("1" | "true" | "on") -> true
     | Some _ | None -> false)
 
-let guard env q = if !strict then Analysis.Check.errors env q else []
-
 let bind_loaded relations =
   List.iter
     (fun r ->
@@ -121,56 +119,16 @@ let bind_loaded relations =
       Printf.printf "loaded %s (%d tuples)\n" name (Erm.Relation.cardinal r))
     relations
 
-(* Erm.Io.load opens a parse error's message with "PATH: "; the
-   position goes after the path, compiler style, and the path is
-   printed once. *)
-let print_load_error path ~line ~col message =
-  let p = path ^ ": " in
-  let message =
-    if String.starts_with ~prefix:p message then
-      String.sub message (String.length p)
-        (String.length message - String.length p)
-    else message
-  in
-  if col > 0 then Printf.printf "error: %s:%d:%d: %s\n" path line col message
-  else Printf.printf "error: %s:%d: %s\n" path line message
-
 (* Binds the relations of every file, or of none: the first file that
-   fails to load is reported, and nothing is bound. *)
-let load_files paths =
-  let rec go loaded = function
-    | [] -> bind_loaded (List.concat (List.rev loaded))
-    | path :: rest -> (
-        match Erm.Io.load path with
-        | relations -> go (relations :: loaded) rest
-        | exception Erm.Io.Io_error { line; col; message } ->
-            print_load_error path ~line ~col message
-        | exception Sys_error m -> Printf.printf "error: %s\n" m)
-  in
-  go [] paths
+   fails to load raises, and nothing is bound. *)
+let load_files paths = bind_loaded (List.concat_map Erm.Io.load paths)
 
-(* What the shell prints for a failed query; [None] for an exception
-   that is no query failure. Every command that runs a query reports
-   through it. *)
-let query_error = function
-  | Query.Parser.Parse_error m -> Some ("parse error: " ^ m)
-  | Query.Physical.Rejected findings ->
-      Some
-        (String.concat "\n"
-           ("rejected by the static checker (.strict off to override):"
-           :: List.map (fun f -> "  " ^ f) findings))
-  | Query.Eval.Eval_error m
-  | Erm.Ops.Incompatible_schemas m
-  | Erm.Etuple.Tuple_error m ->
-      Some ("error: " ^ m)
-  | Dst.Mass.F.Total_conflict ->
-      Some "error: total conflict (kappa = 1) while combining evidence"
-  | _ -> None
-
-let reporting_query_errors f =
-  try f ()
-  with e -> (
-    match query_error e with Some m -> print_endline m | None -> raise e)
+(* The shell's one failure boundary, around each command and each file
+   named on the command line: a library failure prints one error line
+   and the shell carries on; any other exception is a bug and crashes. *)
+let reporting =
+  Analysis.Boundary.handle (fun b ->
+      Printf.printf "error: %s\n" (Analysis.Boundary.to_string b))
 
 (* The most recent successful query result — what .why explains. *)
 let last_result : Erm.Relation.t option ref = ref None
@@ -178,16 +136,29 @@ let last_result : Erm.Relation.t option ref = ref None
 (* The store handle behind .store delta/status. *)
 let current_store : Store.Estore.t option ref = ref None
 
+(* Strict mode's refusal is the checker's verdict, printed as its
+   findings, not a failure. The trace prints whether the query ran,
+   was refused or failed. *)
 let run_query text =
   let mark = Obs.Trace.count Obs.Trace.default in
-  reporting_query_errors (fun () ->
-      let r = Query.Physical.run ~ctx ~guard ~sharded:!sharded !env text in
-      last_result := Some r;
-      Erm.Render.print ~title:"result" r);
-  if Obs.Trace.on () then
-    match Obs.Trace.forest ~from:mark Obs.Trace.default with
-    | [] -> ()
-    | trees -> Format.printf "trace:@.%a@." Obs.Trace.pp_forest trees
+  let print_trace () =
+    if Obs.Trace.on () then
+      match Obs.Trace.forest ~from:mark Obs.Trace.default with
+      | [] -> ()
+      | trees -> Format.printf "trace:@.%a@." Obs.Trace.pp_forest trees
+  in
+  Fun.protect ~finally:print_trace (fun () ->
+      let q = Query.Parser.parse text in
+      match if !strict then Analysis.Check.errors !env q else [] with
+      | [] ->
+          let r = Query.Physical.eval_fast ~ctx ~sharded:!sharded !env q in
+          last_result := Some r;
+          Erm.Render.print ~title:"result" r
+      | findings ->
+          print_endline
+            (String.concat "\n  "
+               ("rejected by the static checker (.strict off to override):"
+               :: findings)))
 
 let split_first s =
   match String.index_opt s ' ' with
@@ -311,10 +282,9 @@ let handle_command line =
       match String.split_on_char ' ' rest with
       | [ name; file ] -> (
           match List.assoc_opt name !env with
-          | Some r -> (
-              match Erm.Io.save file [ r ] with
-              | () -> Printf.printf "saved %s to %s\n" name file
-              | exception Sys_error m -> Printf.printf "error: %s\n" m)
+          | Some r ->
+              Erm.Io.save file [ r ];
+              Printf.printf "saved %s to %s\n" name file
           | None -> Printf.printf "unknown relation %s\n" name)
       | _ -> print_string "usage: .save NAME FILE\n")
   | ".let" -> (
@@ -322,15 +292,13 @@ let handle_command line =
       | Some i ->
           let name = String.trim (String.sub rest 0 i) in
           let text = String.sub rest (i + 1) (String.length rest - i - 1) in
-          reporting_query_errors (fun () ->
-              let r = Query.Physical.run ~ctx ~sharded:!sharded !env text in
-              bind name
-                (Erm.Relation.map_tuples
-                   (fun t -> Some t)
-                   (Erm.Schema.rename_relation name (Erm.Relation.schema r))
-                   r);
-              Printf.printf "%s bound (%d tuples)\n" name
-                (Erm.Relation.cardinal r))
+          let r = Query.Physical.run ~ctx ~sharded:!sharded !env text in
+          bind name
+            (Erm.Relation.map_tuples
+               (fun t -> Some t)
+               (Erm.Schema.rename_relation name (Erm.Relation.schema r))
+               r);
+          Printf.printf "%s bound (%d tuples)\n" name (Erm.Relation.cardinal r)
       | None -> print_string "usage: .let NAME = QUERY\n")
   | ".summary" -> (
       match List.assoc_opt rest !env with
@@ -367,13 +335,9 @@ let handle_command line =
       match String.split_on_char ' ' rest with
       | [ a; b ] -> (
           match (List.assoc_opt a !env, List.assoc_opt b !env) with
-          | Some ra, Some rb -> (
-              match Integration.Reliability.assess ra rb with
-              | assessment ->
-                  Format.printf "%a@." Integration.Reliability.pp_assessment
-                    assessment
-              | exception Erm.Ops.Incompatible_schemas m ->
-                  Printf.printf "error: %s\n" m)
+          | Some ra, Some rb ->
+              Format.printf "%a@." Integration.Reliability.pp_assessment
+                (Integration.Reliability.assess ra rb)
           | None, _ -> Printf.printf "unknown relation %s\n" a
           | _, None -> Printf.printf "unknown relation %s\n" b)
       | _ -> print_string "usage: .assess NAME NAME\n")
@@ -381,11 +345,8 @@ let handle_command line =
       match String.split_on_char ' ' rest with
       | [ a; b ] -> (
           match (List.assoc_opt a !env, List.assoc_opt b !env) with
-          | Some ra, Some rb -> (
-              match Erm.Delta.diff ra rb with
-              | d -> Format.printf "%a@." Erm.Delta.pp d
-              | exception Erm.Ops.Incompatible_schemas m ->
-                  Printf.printf "error: %s\n" m)
+          | Some ra, Some rb ->
+              Format.printf "%a@." Erm.Delta.pp (Erm.Delta.diff ra rb)
           | None, _ -> Printf.printf "unknown relation %s\n" a
           | _, None -> Printf.printf "unknown relation %s\n" b)
       | _ -> print_string "usage: .diff OLD NEW\n")
@@ -398,115 +359,70 @@ let handle_command line =
       | [ name; file ] -> (
           match List.assoc_opt name !env with
           | Some r ->
-              let oc = open_out file in
-              output_string oc (Erm.Render.to_csv r);
-              close_out oc;
+              Out_channel.with_open_text file (fun oc ->
+                  output_string oc (Erm.Render.to_csv r));
               Printf.printf "wrote %s\n" file
           | None -> Printf.printf "unknown relation %s\n" name)
       | _ -> print_string "usage: .csv NAME [FILE]\n")
-  | ".explain" -> (
-      match Query.Parser.parse rest with
-      | q -> (
-          match Query.Explain.explain_optimized !env q with
-          | node -> Printf.printf "%s\n" (Query.Explain.to_string node)
-          | exception Query.Eval.Eval_error m -> Printf.printf "error: %s\n" m)
-      | exception Query.Parser.Parse_error m ->
-          Printf.printf "parse error: %s\n" m)
-  | ".open" -> (
-      match Erm.Io.erd_files rest with
-      | files -> load_files files
-      | exception Sys_error m -> Printf.printf "error: %s\n" m)
-  | ".commit" -> (
+  | ".explain" ->
+      Printf.printf "%s\n"
+        (Query.Explain.to_string
+           (Query.Explain.explain_optimized !env (Query.Parser.parse rest)))
+  | ".open" -> load_files (Erm.Io.erd_files rest)
+  | ".commit" ->
       let relations = List.rev !env in
-      match Erm.Io.save_dir rest relations with
-      | () ->
-          Printf.printf "committed %d relation(s) to %s\n"
-            (List.length relations) rest
-      | exception Erm.Io.Io_error { message; _ } ->
-          Printf.printf "error: %s\n" message
-      | exception Sys_error m -> Printf.printf "error: %s\n" m)
+      Erm.Io.save_dir rest relations;
+      Printf.printf "committed %d relation(s) to %s\n" (List.length relations)
+        rest
   | ".store" -> (
       let sub, arg = split_first rest in
-      (* Typed store failures are printed, never crash the shell. *)
-      let store_guard f =
-        match f () with
-        | v -> Some v
-        | exception Store.Recovery.Store_error e ->
-            Printf.printf "error: %s\n" (Store.Recovery.error_to_string e);
-            None
-        | exception (Store.Io.Fault _ as e) ->
-            Printf.printf "error: %s\n"
-              (Option.value ~default:"store i/o fault"
-                 (Store.Io.fault_message e));
-            None
-        | exception Erm.Ops.Incompatible_schemas m ->
-            Printf.printf "error: %s\n" m;
-            None
-      in
       match sub with
-      | "open" when arg <> "" -> (
-          match store_guard (fun () -> Store.Estore.open_store arg) with
-          | None -> ()
-          | Some (t, report) ->
-              current_store := Some t;
-              let name = Store.Estore.name t in
-              let r = Store.Estore.relation t in
-              bind name r;
-              if Obs.Provenance.on () then
-                Erm.Lineage.register_relation ~name r;
-              Printf.printf
-                "store %s: %s v%d (%d tuples, %d records replayed)\n" arg name
-                (Store.Estore.version t) (Erm.Relation.cardinal r)
-                report.Store.Recovery.records;
-              List.iter
-                (fun e ->
-                  Printf.printf "recovery: %s\n"
-                    (Store.Recovery.event_to_string e))
-                report.Store.Recovery.events)
+      | "open" when arg <> "" ->
+          let t, report = Store.Estore.open_store arg in
+          current_store := Some t;
+          let name = Store.Estore.name t in
+          let r = Store.Estore.relation t in
+          bind name r;
+          if Obs.Provenance.on () then Erm.Lineage.register_relation ~name r;
+          Printf.printf "store %s: %s v%d (%d tuples, %d records replayed)\n"
+            arg name (Store.Estore.version t) (Erm.Relation.cardinal r)
+            report.Store.Recovery.records;
+          List.iter
+            (fun e ->
+              Printf.printf "recovery: %s\n" (Store.Recovery.event_to_string e))
+            report.Store.Recovery.events
       | "create" -> (
           match String.split_on_char ' ' arg with
           | [ dir; name ] -> (
               match List.assoc_opt name !env with
               | None -> Printf.printf "unknown relation %s\n" name
-              | Some r -> (
-                  match
-                    store_guard (fun () -> Store.Estore.create ~dir ~name r)
-                  with
-                  | None -> ()
-                  | Some t ->
-                      current_store := Some t;
-                      Printf.printf "created store %s: %s v1 (%d tuples)\n" dir
-                        name (Erm.Relation.cardinal r)))
+              | Some r ->
+                  current_store := Some (Store.Estore.create ~dir ~name r);
+                  Printf.printf "created store %s: %s v1 (%d tuples)\n" dir name
+                    (Erm.Relation.cardinal r))
           | _ -> print_string "usage: .store create DIR NAME\n")
       | "delta" when arg <> "" -> (
           match !current_store with
           | None -> print_string "no store open (.store open DIR first)\n"
           | Some t -> (
               match Erm.Io.load arg with
-              | [ rel ] -> (
+              | [ rel ] ->
                   let source = Erm.Schema.name (Erm.Relation.schema rel) in
-                  match
-                    store_guard (fun () -> Store.Delta.apply t ~name:source rel)
-                  with
-                  | None -> ()
-                  | Some o ->
-                      List.iter
-                        (fun c ->
-                          Format.printf "conflict absorbing %s: %a@." source
-                            Erm.Ops.pp_conflict c)
-                        o.Store.Delta.conflicts;
-                      bind (Store.Estore.name t) o.Store.Delta.relation;
-                      Printf.printf
-                        "delta %s: %d upserts, %d deletes, %d conflicts -> v%d\n"
-                        source o.Store.Delta.upserts o.Store.Delta.deletes
-                        (List.length o.Store.Delta.conflicts)
-                        o.Store.Delta.version)
+                  let o = Store.Delta.apply t ~name:source rel in
+                  List.iter
+                    (fun c ->
+                      Format.printf "conflict absorbing %s: %a@." source
+                        Erm.Ops.pp_conflict c)
+                    o.Store.Delta.conflicts;
+                  bind (Store.Estore.name t) o.Store.Delta.relation;
+                  Printf.printf
+                    "delta %s: %d upserts, %d deletes, %d conflicts -> v%d\n"
+                    source o.Store.Delta.upserts o.Store.Delta.deletes
+                    (List.length o.Store.Delta.conflicts)
+                    o.Store.Delta.version
               | _ ->
                   Printf.printf "%s: delta file must hold exactly one relation\n"
-                    arg
-              | exception Erm.Io.Io_error { line; col; message } ->
-                  print_load_error arg ~line ~col message
-              | exception Sys_error m -> Printf.printf "error: %s\n" m))
+                    arg))
       | "status" -> (
           match !current_store with
           | None -> print_string "no store open\n"
@@ -531,9 +447,7 @@ let handle_command line =
           (Analysis.Sweep.subject ?store:!current_store !env)
       with
       | [] -> print_string "no findings\n"
-      | diags -> Analysis.Report.print diags
-      | exception Store.Recovery.Store_error e ->
-          Printf.printf "error: %s\n" (Store.Recovery.error_to_string e))
+      | diags -> Analysis.Report.print diags)
   | ".strict" -> (
       match rest with
       | "on" ->
@@ -557,21 +471,13 @@ let handle_command line =
               Printf.printf "combination rule set to %s\n"
                 (Dst.Rule.policy_to_string policy)
           | Error m -> Printf.printf "error: %s\n" m))
-  | ".plan" -> (
-      match Query.Parser.parse rest with
-      | q ->
-          Printf.printf "%s\n"
-            (Query.Ast.to_string (Query.Plan.optimize !env q))
-      | exception Query.Parser.Parse_error m ->
-          Printf.printf "parse error: %s\n" m)
-  | ".physical" -> (
-      match Query.Parser.parse rest with
-      | q -> (
-          match Query.Physical.plan_optimized !env q with
-          | p -> Printf.printf "%s\n" (Query.Physical.to_string p)
-          | exception Query.Eval.Eval_error m -> Printf.printf "error: %s\n" m)
-      | exception Query.Parser.Parse_error m ->
-          Printf.printf "parse error: %s\n" m)
+  | ".plan" ->
+      Printf.printf "%s\n"
+        (Query.Ast.to_string (Query.Plan.optimize !env (Query.Parser.parse rest)))
+  | ".physical" ->
+      Printf.printf "%s\n"
+        (Query.Physical.to_string
+           (Query.Physical.plan_optimized !env (Query.Parser.parse rest)))
   | ".trace" -> (
       match rest with
       | "on" ->
@@ -648,13 +554,12 @@ let handle_command line =
       | _ -> print_string "usage: .provenance on|off|reset\n")
   | ".why" -> why_command rest
   | ".analyze" ->
-      reporting_query_errors (fun () ->
-          let r, report =
-            Query.Explain.analyze ~ctx ~sharded:!sharded !env
-              (Query.Parser.parse rest)
-          in
-          Printf.printf "%s\n" (Query.Explain.report_to_string report);
-          Erm.Render.print ~title:"result" r)
+      let r, report =
+        Query.Explain.analyze ~ctx ~sharded:!sharded !env
+          (Query.Parser.parse rest)
+      in
+      Printf.printf "%s\n" (Query.Explain.report_to_string report);
+      Erm.Render.print ~title:"result" r
   | _ -> Printf.printf "unknown command %s (try .help)\n" cmd
 
 let repl () =
@@ -669,8 +574,8 @@ let repl () =
     | Some line ->
         let line = String.trim line in
         if line = "" || line.[0] = '#' then ()
-        else if line.[0] = '.' then handle_command line
-        else run_query line;
+        else if line.[0] = '.' then reporting (fun () -> handle_command line)
+        else reporting (fun () -> run_query line);
         loop ()
   in
   loop ()
@@ -723,24 +628,29 @@ let () =
       let rule_arg, files = split_out "--rule" files in
       (* Output sinks register before any flag that can exit 2: a bad
          --domains or --rule still leaves through the shared protected
-         flush, so the files the user asked for are written. *)
-      (match trace_out with
-      | Some file ->
-          Obs.Trace.enable Obs.Trace.default;
-          Obs.Export.on_exit_flush (fun () ->
-              Obs.Export.write_chrome Obs.Trace.default file)
-      | None -> ());
-      (match prov_out with
-      | Some file ->
-          Obs.Provenance.enable ();
-          Obs.Export.on_exit_flush (fun () -> Obs.Export.write_provenance file)
-      | None -> ());
-      (match flight_out with
-      | Some file ->
+         flush, so the files the user asked for are written. A sink
+         path that cannot be written is itself a startup error. *)
+      let sink out enable write =
+        Option.iter
+          (fun path ->
+            enable ();
+            Analysis.Boundary.handle
+              (fun b ->
+                Printf.eprintf "eridb: %s\n" (Analysis.Boundary.to_string b);
+                exit 2)
+              (fun () -> Obs.Export.on_exit_flush ~path (fun () -> write path)))
+          out
+      in
+      sink trace_out
+        (fun () -> Obs.Trace.enable Obs.Trace.default)
+        (Obs.Export.write_chrome Obs.Trace.default);
+      sink prov_out Obs.Provenance.enable (fun path ->
+          Obs.Export.write_provenance path);
+      sink flight_out
+        (fun () ->
           Obs.Metrics.enable ();
-          Obs.Log.enable ();
-          Obs.Export.on_exit_flush (fun () -> Obs.Export.write_flight file)
-      | None -> ());
+          Obs.Log.enable ())
+        (fun path -> Obs.Export.write_flight path);
       (match domains_arg with
       | Some s -> sharded := parse_domains ~what:"--domains" s
       | None -> ());
@@ -752,5 +662,5 @@ let () =
               Printf.eprintf "eridb: invalid --rule value: %s\n" m;
               exit 2)
       | None -> ());
-      List.iter (fun f -> load_files [ f ]) files);
+      List.iter (fun f -> reporting (fun () -> load_files [ f ])) files);
   repl ()

@@ -31,44 +31,20 @@ let exit_source_failure = 1
 let exit_quorum = 2
 let exit_quarantine = 3
 
-(* Load every file, each through the typed channel. In quarantine mode
-   ([--skip-malformed]) a file that fails to read or parse is reported
-   and skipped instead of aborting the federation. Erm.Io.load already
-   prefixes its messages with the path; strip it where we re-attach the
-   path ourselves. *)
-let strip_path_prefix path m =
-  let p = path ^ ": " in
-  let n = String.length p in
-  if String.length m >= n && String.sub m 0 n = p then
-    String.sub m n (String.length m - n)
-  else m
-
+(* Load every file. In quarantine mode ([--skip-malformed]) a file that
+   fails to read or parse is reported and skipped instead of aborting
+   the federation; otherwise its failure ends the run. *)
 let load_all ~skip_malformed files =
-  let loaded, skipped =
-    List.fold_left
-      (fun (loaded, skipped) path ->
-        match Erm.Io.load path with
-        | rels ->
-            let named =
-              List.map
-                (fun r -> (Erm.Schema.name (Erm.Relation.schema r), r))
-                rels
-            in
-            (loaded @ named, skipped)
-        | exception Sys_error m ->
-            (loaded, skipped @ [ (path, strip_path_prefix path m) ])
-        | exception Erm.Io.Io_error { line; message; _ } ->
-            ( loaded,
-              skipped
-              @ [ ( path,
-                    Printf.sprintf "line %d: %s" line
-                      (strip_path_prefix path message) ) ] ))
-      ([], []) files
-  in
-  match (skipped, skip_malformed) with
-  | [], _ -> Ok (loaded, [])
-  | (path, reason) :: _, false -> Error (path ^ ": " ^ reason)
-  | _, true -> Ok (loaded, skipped)
+  List.fold_left
+    (fun (loaded, skipped) path ->
+      let load () =
+        let named r = (Erm.Schema.name (Erm.Relation.schema r), r) in
+        (loaded @ List.map named (Erm.Io.load path), skipped)
+      in
+      if skip_malformed then
+        Analysis.Boundary.handle (fun b -> (loaded, skipped @ [ b ])) load
+      else load ())
+    ([], []) files
 
 let pick_sources env = function
   | [] -> Ok env
@@ -84,8 +60,7 @@ let pick_sources env = function
 
 let print_skipped skipped =
   List.iter
-    (fun (path, reason) ->
-      Format.printf "skipped %s: %s@." path reason)
+    (fun b -> Printf.printf "skipped %s\n" (Analysis.Boundary.to_string b))
     skipped
 
 (* --validate: lint every source file before integrating; error-level
@@ -231,49 +206,23 @@ let run files relations discount name query csv out report_only fault_plan
     | None -> Store.Io.real
     | Some plan -> Store.Io.faulty ~seed ~plan Store.Io.real
   in
-  (* Store failures are always typed: Store_error from the recovery
-     state machine, Io.Fault from real or injected disk faults. Both
-     map to the source-failure exit. *)
-  let store_guard f =
-    match f () with
-    | v -> Ok v
-    | exception Store.Recovery.Store_error e ->
-        fail exit_source_failure (Store.Recovery.error_to_string e)
-    | exception (Store.Io.Fault _ as e) ->
-        fail exit_source_failure
-          (Option.value ~default:"store i/o fault"
-             (Store.Io.fault_message e))
-  in
   let render r =
     if csv then print_string (Erm.Render.to_csv r) else Erm.Render.print r
   in
   let query_and_out env r =
-    try
-      (match query with
-      | Some text -> render (Query.Eval.run env text)
-      | None -> render r);
-      (match out with
-      | Some path ->
-          Erm.Io.save path [ r ];
-          Printf.printf "wrote %s\n" path
-      | None -> ());
-      Ok ()
-    with
-    | Sys_error m -> fail exit_source_failure m
-    | Query.Parser.Parse_error m ->
-        fail exit_source_failure ("parse error: " ^ m)
-    | Query.Eval.Eval_error m -> fail exit_source_failure m
-    | Erm.Ops.Incompatible_schemas m -> fail exit_source_failure m
-    | Dst.Mass.F.Total_conflict ->
-        fail exit_source_failure
-          "total conflict (kappa = 1) during query evaluation"
+    (match query with
+    | Some text -> render (Query.Eval.run env text)
+    | None -> render r);
+    match out with
+    | Some path ->
+        Erm.Io.save path [ r ];
+        Printf.printf "wrote %s\n" path
+    | None -> ()
   in
   (* Open the store (through recovery), optionally fold one delta file
      into it, then expose the stored relation to --query/--out. *)
   let store_body dir =
-    let* t, report =
-      store_guard (fun () -> Store.Estore.open_store ~io:store_io dir)
-    in
+    let t, report = Store.Estore.open_store ~io:store_io dir in
     print_recovery dir report;
     let* () =
       match delta_file with
@@ -285,22 +234,9 @@ let run files relations discount name query csv out report_only fault_plan
             | _ ->
                 fail exit_source_failure
                   (dfile ^ ": delta file must hold exactly one relation")
-            | exception Sys_error m -> fail exit_source_failure m
-            | exception Erm.Io.Io_error { line; message; _ } ->
-                fail exit_source_failure
-                  (Printf.sprintf "%s: line %d: %s" dfile line
-                     (strip_path_prefix dfile message))
           in
           let source = Erm.Schema.name (Erm.Relation.schema rel) in
-          let* outcome =
-            match
-              store_guard (fun () -> Store.Delta.apply t ~name:source rel)
-            with
-            | Ok o -> Ok o
-            | Error _ as e -> e
-            | exception Erm.Ops.Incompatible_schemas m ->
-                fail exit_source_failure m
-          in
+          let outcome = Store.Delta.apply t ~name:source rel in
           List.iter
             (fun c ->
               Format.printf "conflict absorbing %s: %a@." source
@@ -312,10 +248,11 @@ let run files relations discount name query csv out report_only fault_plan
             outcome.Store.Delta.version;
           Ok ()
     in
-    if report_only then Ok ()
-    else
+    if not report_only then begin
       let stored = Store.Estore.relation t in
       query_and_out [ (Store.Estore.name t, stored) ] stored
+    end;
+    Ok ()
   in
   let body () =
     let* () = policy_setup () in
@@ -341,11 +278,7 @@ let run files relations discount name query csv out report_only fault_plan
         Result.map_error (fun m -> (exit_source_failure, m)) (validate_files files)
       else Ok ()
     in
-    let* env, skipped =
-      Result.map_error
-        (fun m -> (exit_source_failure, m))
-        (load_all ~skip_malformed files)
-    in
+    let env, skipped = load_all ~skip_malformed files in
     print_skipped skipped;
     let* () =
       if env = [] then
@@ -381,23 +314,10 @@ let run files relations discount name query csv out report_only fault_plan
         conflict_discount = discount }
     in
     let sharded = { Query.Physical.shards = domains; domains } in
-    (* Combination exceptions escaping the runtime used to abort as an
-       uncaught exception, bypassing the metrics flush; turn them into
-       the typed source-failure exit instead. *)
-    let* outcome =
-      match
-        Federation.Degrade.integrate ~config ~seed
-          ~integrate:(Integration.Multi.integrate ~sharded) ~clock
-          sources
-      with
-      | outcome -> Ok outcome
-      | exception Dst.Mass.F.Total_conflict ->
-          fail exit_source_failure
-            "total conflict (kappa = 1) while combining evidence"
-      | exception Erm.Etuple.Tuple_error m ->
-          fail exit_source_failure ("tuple error: " ^ m)
-    in
-    match outcome with
+    match
+      Federation.Degrade.integrate ~config ~seed
+        ~integrate:(Integration.Multi.integrate ~sharded) ~clock sources
+    with
     | Error (Federation.Degrade.Quorum_not_met { outcomes; _ } as f) ->
         Format.printf "%a@." Federation.Degrade.pp_outcomes outcomes;
         fail exit_quorum
@@ -424,23 +344,15 @@ let run files relations discount name query csv out report_only fault_plan
         in
         (* Persist even under --report-only: creating the store is the
            point of the run, not part of rendering. *)
-        let* () =
-          match store_dir with
-          | None -> Ok ()
-          | Some dir ->
-              let* t =
-                store_guard (fun () ->
-                    Store.Estore.create ~io:store_io ~dir ~name integrated)
-              in
-              Printf.printf "created store %s: %s v%d (%d tuples)\n" dir
-                (Store.Estore.name t) (Store.Estore.version t)
-                (Erm.Relation.cardinal (Store.Estore.relation t));
-              Ok ()
-        in
-        let* () =
-          if report_only then Ok ()
-          else query_and_out ((name, integrated) :: env) integrated
-        in
+        (match store_dir with
+        | None -> ()
+        | Some dir ->
+            let t = Store.Estore.create ~io:store_io ~dir ~name integrated in
+            Printf.printf "created store %s: %s v%d (%d tuples)\n" dir
+              (Store.Estore.name t) (Store.Estore.version t)
+              (Erm.Relation.cardinal (Store.Estore.relation t)));
+        if not report_only then
+          query_and_out ((name, integrated) :: env) integrated;
         (* Quarantined cells are a typed outcome, not a silent drop: the
            merge completed (and was rendered/persisted above), but the
            integrator is told through the exit code that κ-escalation
@@ -461,21 +373,31 @@ let run files relations discount name query csv out report_only fault_plan
   (* Output flushes live in the shared protected-flush registry so runs
      that exit through a typed error path (1/2/3/124) still write their
      metrics and flight journal. The metrics file extension picks the
-     format: .prom for Prometheus text exposition, anything else JSON. *)
-  (match metrics_out with
-  | Some path ->
-      Obs.Export.on_exit_flush (fun () ->
-          if Obs.Provenance.on () then Obs.Provenance.publish ();
-          Obs.Export.write_metrics path;
-          Printf.printf "wrote metrics to %s\n" path)
-  | None -> ());
-  (match flight_out with
-  | Some path ->
-      Obs.Export.on_exit_flush (fun () ->
-          Obs.Export.write_flight path;
-          Printf.printf "wrote flight journal to %s\n" path)
-  | None -> ());
-  Obs.Export.flush_protect body
+     format: .prom for Prometheus text exposition, anything else JSON.
+     An output path that cannot be written is a usage error, found
+     before any work runs. *)
+  let sinks () =
+    Option.iter
+      (fun path ->
+        Obs.Export.on_exit_flush ~path (fun () ->
+            if Obs.Provenance.on () then Obs.Provenance.publish ();
+            Obs.Export.write_metrics path;
+            Printf.printf "wrote metrics to %s\n" path))
+      metrics_out;
+    Option.iter
+      (fun path ->
+        Obs.Export.on_exit_flush ~path (fun () ->
+            Obs.Export.write_flight path;
+            Printf.printf "wrote flight journal to %s\n" path))
+      flight_out;
+    Ok ()
+  in
+  (* The run's one failure boundary: every library failure is the
+     source-failure exit. *)
+  let failed code b = fail code (Analysis.Boundary.to_string b) in
+  let* () = Analysis.Boundary.handle (failed Cmd.Exit.cli_error) sinks in
+  Obs.Export.flush_protect (fun () ->
+      Analysis.Boundary.handle (failed exit_source_failure) body)
 
 let files_arg =
   Arg.(value & pos_all file [] & info [] ~docv:"FILE.erd")

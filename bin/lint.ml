@@ -38,8 +38,8 @@ let lint_queries ~files ~queries_file =
           (Erm.Io.load path))
       files
   with
-  | exception Erm.Io.Io_error { line; col; message } ->
-      [ Analysis.Diagnostic.error ~line ~col ~code:"Q001" "%s" message ]
+  | exception Erm.Io.Io_error { file; line; col; message } ->
+      [ Analysis.Diagnostic.error ?file ~line ~col ~code:"Q001" "%s" message ]
   | exception Sys_error m ->
       [ Analysis.Diagnostic.error ~code:"Q001" "%s" m ]
   | env -> (
@@ -83,24 +83,10 @@ let run_lint ~json ~queries files =
 (* ------------------------------------------------------------------ *)
 (* Store sweeps                                                        *)
 
+(* The sweep's own input errors: a missing directory, a delta that is
+   not one relation or matches no swept relation. Library failures
+   reach [run_sweep] as they are raised. *)
 exception Sweep_failed of string
-
-(* Erm.Io.load opens a parse error's message with "<file>: ", where
-   <file> is [path] or a file under it. File names hold no ": ", so the
-   first one from the end of [path] on closes <file>; the line goes
-   there, compiler style. *)
-let parse_failed path line message =
-  let rec close i =
-    if i + 1 >= String.length message then None
-    else if message.[i] = ':' && message.[i + 1] = ' ' then Some i
-    else close (i + 1)
-  in
-  Sweep_failed
-    (match close (String.length path) with
-    | Some i ->
-        Printf.sprintf "%s:%d%s" (String.sub message 0 i) line
-          (String.sub message i (String.length message - i))
-    | None -> Printf.sprintf "%s:%d: %s" path line message)
 
 (* A directory whose .erd files hold relations is a text snapshot; any
    other is opened as an Estore, whose own error names a missing or
@@ -112,17 +98,9 @@ let open_subject dir =
   | _ :: _ as relations ->
       let named r = (Erm.Schema.name (Erm.Relation.schema r), r) in
       (List.map named relations, None)
-  | exception Erm.Io.Io_error { line; message; _ } ->
-      raise (parse_failed dir line message)
-  | exception Sys_error m -> raise (Sweep_failed m)
-  | [] -> (
-      match Store.Estore.open_store dir with
-      | t, _report ->
-          ([ (Store.Estore.name t, Store.Estore.relation t) ], Some t)
-      | exception Store.Recovery.Store_error e ->
-          raise
-            (Sweep_failed
-               (Printf.sprintf "%s: %s" dir (Store.Recovery.error_to_string e))))
+  | [] ->
+      let t, _report = Store.Estore.open_store dir in
+      ([ (Store.Estore.name t, Store.Estore.relation t) ], Some t)
 
 (* In-memory absorption: the sweep needs the κ rollups and provenance
    Step ranges a real absorption records, but must not commit — a lint
@@ -136,9 +114,6 @@ let absorb_delta env path =
           (Sweep_failed
              (Printf.sprintf "%s: delta file must hold exactly one relation"
                 path))
-    | exception Erm.Io.Io_error { line; message; _ } ->
-        raise (parse_failed path line message)
-    | exception Sys_error m -> raise (Sweep_failed m)
   in
   let source = Erm.Schema.name (Erm.Relation.schema rel) in
   let compatible (_, r) =
@@ -152,20 +127,14 @@ let absorb_delta env path =
            (Printf.sprintf "%s: delta %s is union-compatible with no swept \
                             relation"
               path source))
-  | Some (name, into) -> (
-      match
+  | Some (name, into) ->
+      let merged, _conflicts, _changes =
         Integration.Multi.absorb_delta ~into
           { Integration.Multi.source_name = source; source_relation = rel }
-      with
-      | merged, _conflicts, _changes ->
-          List.map
-            (fun (n, r) -> if String.equal n name then (n, merged) else (n, r))
-            env
-      | exception Dst.Mass.F.Total_conflict ->
-          raise
-            (Sweep_failed
-               (Printf.sprintf "%s: total conflict absorbing %s" path source))
-      | exception Erm.Ops.Incompatible_schemas m -> raise (Sweep_failed m))
+      in
+      List.map
+        (fun (n, r) -> if String.equal n name then (n, merged) else (n, r))
+        env
 
 let run_sweep ~json ~min_priority dir deltas =
   (* The S004/S005 telemetry comes from the ambient metrics registry
@@ -174,16 +143,19 @@ let run_sweep ~json ~min_priority dir deltas =
   Obs.Metrics.enable ();
   Obs.Provenance.enable ();
   match
-    let env, store = open_subject dir in
-    let env = List.fold_left absorb_delta env deltas in
-    Analysis.Sweep.run (Analysis.Sweep.subject ?store env)
+    Analysis.Boundary.handle
+      (fun b -> Error (Analysis.Boundary.to_string b))
+      (fun () ->
+        let env, store = open_subject dir in
+        let env = List.fold_left absorb_delta env deltas in
+        Ok (Analysis.Sweep.run (Analysis.Sweep.subject ?store env)))
   with
-  | exception Sweep_failed m ->
+  | (exception Sweep_failed m) | Error m ->
       if json then
         Printf.printf "{\"error\": \"%s\"}\n" (Analysis.Diagnostic.json_escape m)
       else Printf.eprintf "eridb-lint: %s\n" m;
       2
-  | diags ->
+  | Ok diags ->
       let floor = Analysis.Checkdef.priority_rank min_priority in
       let rank d =
         match Analysis.Catalog.priority_for d.Analysis.Diagnostic.code with
@@ -201,11 +173,17 @@ let run json queries list_checks sweep deltas min_priority flight_out files =
   (match flight_out with
   | Some path ->
       (* Deterministic journal timestamps, and a flush that runs on
-         every exit path — including the error exits (2/124). *)
+         every exit path — including the error exits (2/124). A path
+         that cannot be written is a usage error. *)
       Obs.Metrics.enable ();
       Obs.Log.set_clock (Obs.Clock.simulated ());
       Obs.Log.enable ();
-      Obs.Export.on_exit_flush (fun () -> Obs.Export.write_flight path)
+      Analysis.Boundary.handle
+        (fun b ->
+          prerr_endline ("eridb-lint: " ^ Analysis.Boundary.to_string b);
+          exit 124)
+        (fun () ->
+          Obs.Export.on_exit_flush ~path (fun () -> Obs.Export.write_flight path))
   | None -> ());
   if list_checks then begin
     print_string

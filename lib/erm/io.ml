@@ -1,4 +1,9 @@
-exception Io_error of { line : int; col : int; message : string }
+exception Io_error of {
+  file : string option;
+  line : int;
+  col : int;
+  message : string;
+}
 
 type error_kind =
   | Declaration | Domain | Arity | Definite
@@ -14,10 +19,13 @@ let error kind ?(col = 0) line fmt =
   Format.kasprintf (fun message -> Error { kind; line; col; message }) fmt
 
 let raise_error (e : error) =
-  raise (Io_error { line = e.line; col = e.col; message = e.message })
+  raise
+    (Io_error { file = None; line = e.line; col = e.col; message = e.message })
 
 let fail ?(col = 0) line fmt =
-  Format.kasprintf (fun message -> raise (Io_error { line; col; message })) fmt
+  Format.kasprintf
+    (fun message -> raise (Io_error { file = None; line; col; message }))
+    fmt
 
 (* Number of blanks (spaces and tabs) that open [s.[i] .. s.[stop-1]]. *)
 let blanks s i stop =
@@ -805,9 +813,9 @@ let to_string r =
   Buffer.contents buf
 
 (* Both failure channels carry the file path: open_in's Sys_error
-   already does, parse errors get it prefixed — a federation of dozens
-   of .erd files is undebuggable from "line 3: bad membership pair"
-   alone. *)
+   already does, parse errors get it in their [file] field — a
+   federation of dozens of .erd files is undebuggable from "line 3: bad
+   membership pair" alone. *)
 let load path =
   let body () =
     let ic =
@@ -820,8 +828,7 @@ let load path =
     close_in ic;
     let rels =
       try relations_of_string content
-      with Io_error { line; col; message } ->
-        raise (Io_error { line; col; message = path ^ ": " ^ message })
+      with Io_error e -> raise (Io_error { e with file = Some path })
     in
     Obs.Metrics.incr "io.load.files";
     Obs.Metrics.incr ~by:(List.length rels) "io.load.relations";
@@ -834,23 +841,37 @@ let load path =
 (* Write, then rename over [path]: an interrupted save leaves the old
    file (or none) and at worst a stray [path.tmp], never a truncated
    relation file. [close_out] is inside the match so that a failed
-   final flush is an error too, not a short file renamed into place. *)
+   final flush is an error too, not a short file renamed into place,
+   and a failed rename removes [tmp] as a failed write does.
+   A failure names [path], the file the caller asked for, not [tmp]. *)
 let save path rels =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  match
-    List.iter
-      (fun r ->
-        output_string oc (to_string r);
-        output_char oc '\n')
-      rels;
-    close_out oc
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e
+  let write () =
+    let oc = open_out tmp in
+    match
+      List.iter
+        (fun r ->
+          output_string oc (to_string r);
+          output_char oc '\n')
+        rels;
+      close_out oc;
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception e ->
+        close_out_noerr oc;
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e
+  in
+  try write ()
+  with Sys_error m ->
+    let p = tmp ^ ": " in
+    let m =
+      if String.starts_with ~prefix:p m then
+        String.sub m (String.length p) (String.length m - String.length p)
+      else m
+    in
+    raise (Sys_error (path ^ ": " ^ m))
 
 (* A text snapshot has no manifest: every .erd file in the directory
    is part of it, and writing one never touches the others. *)

@@ -16,11 +16,18 @@
     {!Dst.Evidence.of_string}; definite cells are literals parsed
     according to the attribute's declared kind. *)
 
-exception Io_error of { line : int; col : int; message : string }
-(** [line] is 1-based, or [0] when the error concerns no line of a
-    text (an empty CSV document, a relation name unfit for a file
-    name); [col] is the 1-based column of the offending token, or [0]
-    when no finer position than the line is known. *)
+exception Io_error of {
+  file : string option;
+  line : int;
+  col : int;
+  message : string;
+}
+(** [file] is the path that {!load} read, [None] for text parsed from a
+    string; the message never repeats it. [line] is 1-based, or [0]
+    when the error concerns no line of a text (an empty CSV document, a
+    relation name unfit for a file name); [col] is the 1-based column
+    of the offending token, or [0] when no finer position than the line
+    is known. *)
 
 val relations_of_string : string -> Relation.t list
 (** Folds {!scan} and raises its first error; duplicate keys and
@@ -153,15 +160,14 @@ val tuple_of_string : Schema.t -> string -> Etuple.t
 val load : string -> Relation.t list
 (** Reads a [.erd] file. Both failure channels name the file:
     @raise Sys_error on IO failures (message includes the path);
-    @raise Io_error on parse failures, with the message prefixed by the
-    path. *)
+    @raise Io_error on parse failures, with [file = Some path]. *)
 
 val save : string -> Relation.t list -> unit
 (** Writes the relations to one [.erd] file, each block followed by a
     blank line. The text goes to [path ^ ".tmp"] and is renamed over
     [path] only once complete, so a failed or interrupted save never
     leaves a truncated file at [path].
-    @raise Sys_error on IO failures. *)
+    @raise Sys_error on IO failures, its message naming [path]. *)
 
 (** {2 Text snapshots}
 

@@ -361,10 +361,14 @@ let flush_now () =
       try f ()
       with e ->
         Printf.eprintf "warning: output flush failed: %s\n%!"
-          (Printexc.to_string e))
+          (match e with Sys_error m -> m | e -> Printexc.to_string e))
     fs
 
-let on_exit_flush f =
+(* The path is opened for appending (created, nothing truncated) at
+   registration, so one that cannot be written fails before any work
+   runs, not as a warning at exit. *)
+let on_exit_flush ~path f =
+  close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path);
   if not !exit_hook_installed then begin
     exit_hook_installed := true;
     at_exit flush_now

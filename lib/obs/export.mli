@@ -86,10 +86,15 @@ val write_flight : ?last:int -> string -> unit
     error path) via a single [at_exit] hook — so dumps survive the
     failures they are meant to explain. *)
 
-val on_exit_flush : (unit -> unit) -> unit
-(** Register a writer; also installs the [at_exit] hook on first use.
+val on_exit_flush : path:string -> (unit -> unit) -> unit
+(** Register a writer of [path]; also installs the [at_exit] hook on
+    first use. [path] is opened for appending (created if missing,
+    nothing truncated) and closed first, so a path that cannot be
+    written fails here, before any work runs.
+    @raise Sys_error naming [path] when it cannot be opened.
     Writers run in registration order; one failing writer does not
-    stop the rest (a warning goes to stderr). *)
+    stop the rest (a warning with the bare OS message goes to
+    stderr). *)
 
 val flush_now : unit -> unit
 (** Run and clear every registered writer now. Idempotent. *)

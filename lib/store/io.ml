@@ -4,12 +4,6 @@ exception Fault of { op : string; path : string; code : fault_code }
 
 let code_to_string = function Eio -> "EIO" | Enospc -> "ENOSPC"
 
-let fault_message = function
-  | Fault { op; path; code } ->
-      Some (Printf.sprintf "store i/o fault: %s(%s): %s" op path
-              (code_to_string code))
-  | _ -> None
-
 type t = {
   read_file : string -> string;
   write_file : string -> string -> unit;

@@ -18,10 +18,6 @@ exception Fault of { op : string; path : string; code : fault_code }
 
 val code_to_string : fault_code -> string
 
-val fault_message : exn -> string option
-(** Render {!Fault} for CLI error reporting; [None] for other
-    exceptions. *)
-
 type t = {
   read_file : string -> string;
   write_file : string -> string -> unit;

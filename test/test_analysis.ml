@@ -658,6 +658,53 @@ let sweep_clean_generated =
           | None -> false)
         diags)
 
+(* The binaries' failure boundary: every library failure a binary can
+   reach classifies to a message, positions render compiler style with
+   unknown parts left out, and anything else stays an exception. *)
+let test_boundary () =
+  let module B = Analysis.Boundary in
+  let frame = Dst.Domain.of_strings "e" [ "a" ] in
+  let render e = Option.map B.to_string (B.classify e) in
+  let check name expected e =
+    Alcotest.(check (option string)) name expected (render e)
+  in
+  check "Sys_error" (Some "f.csv: No such file or directory")
+    (Sys_error "f.csv: No such file or directory");
+  check "Unix_error" (Some "f/s: Not a directory")
+    (Unix.Unix_error (Unix.ENOTDIR, "mkdir", "f/s"));
+  check "Io_error" (Some "f.erd:5:11: bad")
+    (Erm.Io.Io_error { file = Some "f.erd"; line = 5; col = 11; message = "bad" });
+  check "parse" (Some "parse error: p") (Query.Parser.Parse_error "p");
+  check "store" (Some "no store at d")
+    (Store.Recovery.Store_error (Store.Recovery.No_store { dir = "d" }));
+  check "fault" (Some "store i/o fault: write(f): EIO")
+    (Store.Io.Fault { op = "write"; path = "f"; code = Store.Io.Eio });
+  check "total conflict"
+    (Some "total conflict (kappa = 1) while combining evidence")
+    Dst.Mass.F.Total_conflict;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (Printexc.to_string e) true (B.classify e <> None))
+    [ Query.Lexer.Lex_error { position = 3; message = "m" };
+      Query.Physical.Rejected [ "f" ]; Query.Eval.Eval_error "m";
+      Erm.Ops.Incompatible_schemas "m"; Erm.Etuple.Tuple_error "m";
+      Erm.Relation.Relation_error "m";
+      Erm.Relation.Duplicate_key [ Dst.Value.String "k" ];
+      Erm.Schema.Schema_error "m"; Dst.Mass.F.Invalid_mass "m";
+      Dst.Mass.F.Quarantined_cell 0.9;
+      Dst.Mass.F.Frame_mismatch (frame, frame) ];
+  List.iter
+    (fun e -> check (Printexc.to_string e) None e)
+    [ Not_found; Invalid_argument "x"; Failure "x"; Stack_overflow ];
+  let at file line col = B.to_string { B.file; line; col; message = "m" } in
+  Alcotest.(check (list string)) "unknown parts are left out"
+    [ "f:5: m"; "5:11: m"; "f: m"; "m" ]
+    [ at (Some "f") 5 0; at None 5 11; at (Some "f") 0 7; at None 0 0 ];
+  Alcotest.check_raises "handle re-raises a bug" Not_found (fun () ->
+      B.handle (fun _ -> ()) (fun () -> raise Not_found));
+  Alcotest.(check string) "handle classifies a failure" "parse error: p"
+    (B.handle B.to_string (fun () -> raise (Query.Parser.Parse_error "p")))
+
 let () =
   Alcotest.run "analysis"
     [ ( "check",
@@ -671,6 +718,8 @@ let () =
       ( "catalog",
         [ Alcotest.test_case "registry" `Quick test_catalog_registry;
           Alcotest.test_case "tsv/json export" `Quick test_catalog_export ] );
+      ( "boundary",
+        [ Alcotest.test_case "one classifier" `Quick test_boundary ] );
       ( "sweep",
         [ Alcotest.test_case "bad catalog fires" `Quick test_sweep_bad_catalog;
           Alcotest.test_case "clean env is quiet" `Quick test_sweep_clean_env;

@@ -60,7 +60,8 @@ let test_mass_sum_message () =
        [a^0.3333333; b^0.6666666] | (1, 1)\n"
   with
   | _ -> Alcotest.fail "a sum of 0.9999999 should be rejected"
-  | exception Erm.Io.Io_error { line; col; message } ->
+  | exception Erm.Io.Io_error { file; line; col; message } ->
+      Alcotest.(check (option string)) "no file for a string" None file;
       Alcotest.(check (pair int int)) "position" (4, 11) (line, col);
       Alcotest.(check string) "message"
         "bad evidence for e: masses sum to 0.9999999, not 1" message
@@ -106,7 +107,7 @@ let test_bad_literals () =
     (fun row ->
       match Erm.Io.tuple_of_string schema row with
       | _ -> Alcotest.failf "tuple_of_string accepted %s" row
-      | exception Erm.Io.Io_error { line; col; message } ->
+      | exception Erm.Io.Io_error { line; col; message; _ } ->
           Alcotest.(check (pair int int)) row (0, 0) (line, col);
           Alcotest.(check bool) (row ^ ": " ^ message) true
             (String.length message > 0)
@@ -167,6 +168,46 @@ let test_save_replaces_whole () =
         (only Paperdata.r_b (Erm.Io.load path));
       Alcotest.(check bool) "no temporary file left" false
         (Sys.file_exists (path ^ ".tmp")))
+
+(* A failed save names the file the caller gave, never the temporary
+   file it writes first, and leaves no temporary file behind. *)
+let test_save_names_path () =
+  let dir = Filename.temp_dir "eridb" "" in
+  let fails path =
+    match Erm.Io.save path [ Paperdata.r_a ] with
+    | () -> Alcotest.failf "saving to %s should fail" path
+    | exception Sys_error m ->
+        Alcotest.(check bool) (m ^ " names " ^ path) true
+          (String.starts_with ~prefix:(path ^ ": ") m);
+        Alcotest.(check bool) (m ^ " names no .tmp") false
+          (String.ends_with ~suffix:".tmp" (List.hd (String.split_on_char ':' m)));
+        Alcotest.(check bool) "no temporary file left" false
+          (Sys.file_exists (path ^ ".tmp"))
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      fails (Filename.concat dir "no_such_dir/x.erd");
+      (* The write succeeds; the rename over a directory fails. *)
+      let target = Filename.concat dir "a_dir" in
+      Sys.mkdir target 0o755;
+      fails target)
+
+(* load names its file in the error's own field; the message does not
+   repeat it. *)
+let test_load_error_file () =
+  let path = Filename.temp_file "eridb" ".erd" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "relation r\nkey k : string\nbogus\n");
+      match Erm.Io.load path with
+      | _ -> Alcotest.fail "a bad directive should be rejected"
+      | exception Erm.Io.Io_error { file; line; message; _ } ->
+          Alcotest.(check (option string)) "file" (Some path) file;
+          Alcotest.(check int) "line" 3 line;
+          Alcotest.(check string) "message" "unknown directive bogus" message)
 
 let test_value_kinds_roundtrip () =
   let input =
@@ -451,6 +492,10 @@ let () =
           Alcotest.test_case "load/save files" `Quick test_load_save;
           Alcotest.test_case "save replaces the file whole" `Quick
             test_save_replaces_whole;
+          Alcotest.test_case "a failed save names the caller's path" `Quick
+            test_save_names_path;
+          Alcotest.test_case "load puts the path in the error's file" `Quick
+            test_load_error_file;
           Alcotest.test_case "value kinds" `Quick test_value_kinds_roundtrip;
           Alcotest.test_case "long focal set prints on one line" `Quick
             test_long_set_one_line;

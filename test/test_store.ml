@@ -66,7 +66,9 @@ let attempt f =
   | v -> `Ok v
   | exception Rec.Store_error e -> `Err e
   | exception (Store.Io.Fault _ as e) ->
-      `Fault (Option.value ~default:"fault" (Store.Io.fault_message e))
+      `Fault
+        (Option.fold ~none:"fault" ~some:Analysis.Boundary.to_string
+           (Analysis.Boundary.classify e))
 
 let read_file path =
   let ic = open_in_bin path in
