@@ -137,17 +137,11 @@ let last_result : Erm.Relation.t option ref = ref None
 let current_store : Store.Estore.t option ref = ref None
 
 (* Strict mode's refusal is the checker's verdict, printed as its
-   findings, not a failure. The trace prints whether the query ran,
-   was refused or failed. *)
+   findings, not a failure. The trace follows the result, the refusal
+   or the error line. *)
 let run_query text =
   let mark = Obs.Trace.count Obs.Trace.default in
-  let print_trace () =
-    if Obs.Trace.on () then
-      match Obs.Trace.forest ~from:mark Obs.Trace.default with
-      | [] -> ()
-      | trees -> Format.printf "trace:@.%a@." Obs.Trace.pp_forest trees
-  in
-  Fun.protect ~finally:print_trace (fun () ->
+  reporting (fun () ->
       let q = Query.Parser.parse text in
       match if !strict then Analysis.Check.errors !env q else [] with
       | [] ->
@@ -158,7 +152,11 @@ let run_query text =
           print_endline
             (String.concat "\n  "
                ("rejected by the static checker (.strict off to override):"
-               :: findings)))
+               :: findings)));
+  if Obs.Trace.on () then
+    match Obs.Trace.forest ~from:mark Obs.Trace.default with
+    | [] -> ()
+    | trees -> Format.printf "trace:@.%a@." Obs.Trace.pp_forest trees
 
 let split_first s =
   match String.index_opt s ' ' with

@@ -14,10 +14,6 @@ let classify e =
   | Erm.Io.Io_error { file; line; col; message } ->
       Some { file; line; col; message }
   | Query.Parser.Parse_error m -> msg "parse error: %s" m
-  | Query.Lexer.Lex_error { position; message } ->
-      msg "parse error: lexical error at offset %d: %s" position message
-  | Query.Physical.Rejected findings ->
-      msg "rejected by the static checker: %s" (String.concat "; " findings)
   | Query.Eval.Eval_error m
   | Erm.Ops.Incompatible_schemas m
   | Erm.Etuple.Tuple_error m
@@ -42,13 +38,7 @@ let classify e =
   | _ -> None
 
 let to_string { file; line; col; message } =
-  let pos =
-    Option.to_list file
-    @ (if line > 0 then string_of_int line
-         :: (if col > 0 then [ string_of_int col ] else [])
-       else [])
-  in
-  match pos with [] -> message | _ -> String.concat ":" pos ^ ": " ^ message
+  Format.asprintf "%t%s" (Diagnostic.pp_position ~file ~line ~col) message
 
 let handle on_failure f =
   try f ()

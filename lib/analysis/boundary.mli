@@ -16,13 +16,14 @@ type t = {
 val classify : exn -> t option
 (** [Some] for every library failure a binary can reach: OS errors
     ([Sys_error], [Unix.Unix_error]), the loader's [Erm.Io.Io_error],
-    query parse, lex, evaluation and strict-mode rejection, schema,
+    query parse and evaluation errors, schema,
     tuple and relation errors, the float mass kernel's errors (total
     conflict, invalid mass, quarantine, frame mismatch), and the
     store's [Store_error] and I/O [Fault]. [None] for anything else. *)
 
 val to_string : t -> string
-(** [FILE:LINE:COL: message], omitting the parts that are unknown. *)
+(** [FILE:LINE:COL: message], omitting the parts that are unknown
+    ({!Diagnostic.pp_position}). *)
 
 val handle : (t -> 'a) -> (unit -> 'a) -> 'a
 (** [handle on_failure f] runs [f]. When [f] raises a library failure,

@@ -44,5 +44,5 @@ val check_string : ?file:string -> Query.Eval.env -> string -> Diagnostic.t list
     rather than an exception. *)
 
 val errors : Query.Eval.env -> Query.Ast.query -> string list
-(** Error-level findings rendered as strings — the guard hook for
-    {!Query.Physical.eval_fast}, empty when the plan is executable. *)
+(** Error-level findings rendered as strings — what the shell's strict
+    mode refuses a query with; empty when the plan is executable. *)

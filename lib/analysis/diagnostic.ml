@@ -56,16 +56,19 @@ let max_severity = function
              else acc)
            Info ds)
 
+let pp_position ~file ~line ~col ppf =
+  let parts =
+    Option.to_list file
+    @
+    if line <= 0 then []
+    else string_of_int line :: (if col > 0 then [ string_of_int col ] else [])
+  in
+  if parts <> [] then Format.fprintf ppf "%s: " (String.concat ":" parts)
+
 let pp ppf d =
-  (match d.file with
-  | Some f when d.line > 0 && d.col > 0 ->
-      Format.fprintf ppf "%s:%d:%d: " f d.line d.col
-  | Some f when d.line > 0 -> Format.fprintf ppf "%s:%d: " f d.line
-  | Some f -> Format.fprintf ppf "%s: " f
-  | None when d.line > 0 -> Format.fprintf ppf "line %d: " d.line
-  | None -> ());
-  Format.fprintf ppf "%s[%s]: %s" (severity_to_string d.severity) d.code
-    d.message
+  Format.fprintf ppf "%t%s[%s]: %s"
+    (pp_position ~file:d.file ~line:d.line ~col:d.col)
+    (severity_to_string d.severity) d.code d.message
 
 let to_string d = Format.asprintf "%a" pp d
 

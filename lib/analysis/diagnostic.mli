@@ -40,8 +40,14 @@ val is_error : t -> bool
 val max_severity : t list -> severity option
 (** [None] on an empty list. *)
 
+val pp_position :
+  file:string option -> line:int -> col:int -> Format.formatter -> unit
+(** [FILE:LINE:COL: ], omitting unknown parts (a column without a line
+    is unknown); nothing when all three are. The one position format of
+    every diagnostic and every failure a binary reports. *)
+
 val pp : Format.formatter -> t -> unit
-(** [file:line:col: error[Q005]: message], omitting unknown parts. *)
+(** [file:line:col: error[Q005]: message], positioned by {!pp_position}. *)
 
 val to_string : t -> string
 

@@ -652,16 +652,7 @@ let execute_measured ?ctx ?(sharded = { shards = 1; domains = 1 }) env p =
 
 let execute ?ctx ?sharded env p = fst (execute_measured ?ctx ?sharded env p)
 
-exception Rejected of string list
-
-let apply_guard guard env q =
-  match guard with
-  | None -> ()
-  | Some g -> ( match g env q with [] -> () | findings -> raise (Rejected findings))
-
-let eval_fast ?ctx ?guard ?sharded env q =
-  apply_guard guard env q;
+let eval_fast ?ctx ?sharded env q =
   execute ?ctx ?sharded env (plan_optimized env q)
 
-let run ?ctx ?guard ?sharded env input =
-  eval_fast ?ctx ?guard ?sharded env (Parser.parse input)
+let run ?ctx ?sharded env input = eval_fast ?ctx ?sharded env (Parser.parse input)

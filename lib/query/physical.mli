@@ -164,30 +164,11 @@ val execute_measured :
 val execute :
   ?ctx:ctx -> ?sharded:sharded -> Eval.env -> t -> Erm.Relation.t
 
-exception Rejected of string list
-(** Raised before execution when a [guard] reports findings. *)
-
 val eval_fast :
-  ?ctx:ctx ->
-  ?guard:(Eval.env -> Ast.query -> string list) ->
-  ?sharded:sharded ->
-  Eval.env ->
-  Ast.query ->
-  Erm.Relation.t
+  ?ctx:ctx -> ?sharded:sharded -> Eval.env -> Ast.query -> Erm.Relation.t
 (** [execute ctx env (plan_optimized env q)]. Relation-equal to
-    {!Eval.eval} on every valid query (property-tested).
-
-    [guard] runs a pre-execution admission check on the {e logical}
-    query; a non-empty result aborts with {!Rejected} before planning.
-    The static analyzer's [Analysis.Check.errors] is the intended guard
-    (the dependency points analyzer → query, hence the callback). *)
+    {!Eval.eval} on every valid query (property-tested). *)
 
 val run :
-  ?ctx:ctx ->
-  ?guard:(Eval.env -> Ast.query -> string list) ->
-  ?sharded:sharded ->
-  Eval.env ->
-  string ->
-  Erm.Relation.t
-(** Parse, plan, execute. The physical counterpart of {!Eval.run}.
-    @raise Rejected when [guard] reports findings. *)
+  ?ctx:ctx -> ?sharded:sharded -> Eval.env -> string -> Erm.Relation.t
+(** Parse, plan, execute. The physical counterpart of {!Eval.run}. *)

@@ -96,7 +96,7 @@ let test_check_clean () =
   assert_clean "ra JOIN (rb PREFIX r_) ON rname = r_rname";
   assert_clean "SELECT rname FROM ra WHERE bldg-no > 500 ORDER BY SN DESC LIMIT 3"
 
-(* Error-level findings gate execution; warnings do not. *)
+(* Error-level findings are what strict mode refuses a query with. *)
 let test_guard () =
   let errs = Analysis.Check.errors env in
   Alcotest.(check bool)
@@ -105,14 +105,7 @@ let test_guard () =
     <> []);
   Alcotest.(check (list string))
     "clean query passes" []
-    (errs (Query.Parser.parse "SELECT rname FROM ra"));
-  Alcotest.(check bool) "physical refuses under guard" true
-    (match
-       Query.Physical.run ~guard:Analysis.Check.errors env
-         "SELECT rname FROM ra WHERE speciality IS {zz}"
-     with
-    | _ -> false
-    | exception Query.Physical.Rejected (_ :: _) -> true)
+    (errs (Query.Parser.parse "SELECT rname FROM ra"))
 
 (* --- the interval domain -------------------------------------------- *)
 
@@ -685,8 +678,7 @@ let test_boundary () =
   List.iter
     (fun e ->
       Alcotest.(check bool) (Printexc.to_string e) true (B.classify e <> None))
-    [ Query.Lexer.Lex_error { position = 3; message = "m" };
-      Query.Physical.Rejected [ "f" ]; Query.Eval.Eval_error "m";
+    [ Query.Eval.Eval_error "m";
       Erm.Ops.Incompatible_schemas "m"; Erm.Etuple.Tuple_error "m";
       Erm.Relation.Relation_error "m";
       Erm.Relation.Duplicate_key [ Dst.Value.String "k" ];
